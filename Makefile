@@ -45,6 +45,11 @@
 #              T_m to T̃_h and hold the eq. 41 masking level) under -race,
 #              then both serving-path perf guards — adaptation off must
 #              leave the admit fast path untouched
+#   flake    — the serving packages' tests (server, cluster, wire, client)
+#              repeated FLAKE_COUNT times under the race detector, so a
+#              test-harness race that fails only now and then (a writer
+#              goroutine outliving its test, a counter read before the
+#              server bumps it) surfaces here instead of in tier-1
 #   scenario — declarative scenario suite (build tag "scenario"): every
 #              config under scenarios/ runs its seed x arm matrix and must
 #              grade to its declared Confirmed/Refuted verdict — including
@@ -56,7 +61,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-stat bench bench-json bench-cmp bench-server-json bench-server-cmp bench-sim-json bench-sim-cmp fuzz golden vet test-chaos test-net test-cluster test-adaptive test-scenario scenarios
+.PHONY: all build test race flake test-stat bench bench-json bench-cmp bench-server-json bench-server-cmp bench-sim-json bench-sim-cmp fuzz golden vet test-chaos test-net test-cluster test-adaptive test-scenario scenarios
 
 all: build test
 
@@ -72,9 +77,17 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Flake tier: many race-detector repetitions of the packages whose tests
+# drive real sockets and goroutines.
+FLAKE_COUNT ?= 20
+
+flake:
+	$(GO) test -race -count=$(FLAKE_COUNT) ./internal/server ./internal/cluster ./internal/wire ./client
+
 # Statistical tier: deterministic seeded ensembles (several seconds of
 # simulation), excluded from tier-1 by the "stat" build tag. The columnar/
-# scalar differential runs under -race here (the columnar path shares
+# scalar differential and the competing-exponentials clock's differential
+# against the event heap run under -race here (the columnar path shares
 # worker-local arenas), and the tier ends with the engine perf guard — the
 # statistical power this tier spends was bought by the columnar speedup.
 test-stat:

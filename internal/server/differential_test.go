@@ -46,13 +46,13 @@ func mixedSequence() (reqs []byte, n int) {
 	for i := 0; i < 32; i++ { // admit run (some rejected at the bound)
 		add(wire.AppendAdmit(reqs, next(), uint64(i), 1))
 	}
-	add(wire.AppendAdmit(reqs, next(), 3, 1))            // duplicate
-	add(wire.AppendAdmit(reqs, next(), 77, math.NaN()))  // invalid rate
-	add(wire.AppendUpdateRate(reqs, next(), 4, 2.5))     // active
-	add(wire.AppendUpdateRate(reqs, next(), 400, 1))     // unknown
-	add(wire.AppendTouch(reqs, next(), 5))               // active
-	add(wire.AppendTouch(reqs, next(), 500))             // unknown
-	for i := 0; i < 16; i++ {                            // depart run
+	add(wire.AppendAdmit(reqs, next(), 3, 1))           // duplicate
+	add(wire.AppendAdmit(reqs, next(), 77, math.NaN())) // invalid rate
+	add(wire.AppendUpdateRate(reqs, next(), 4, 2.5))    // active
+	add(wire.AppendUpdateRate(reqs, next(), 400, 1))    // unknown
+	add(wire.AppendTouch(reqs, next(), 5))              // active
+	add(wire.AppendTouch(reqs, next(), 500))            // unknown
+	for i := 0; i < 16; i++ {                           // depart run
 		add(wire.AppendDepart(reqs, next(), uint64(i)))
 	}
 	add(wire.AppendDepart(reqs, next(), 2))   // already departed
@@ -65,7 +65,7 @@ func mixedSequence() (reqs []byte, n int) {
 	if err != nil {
 		panic(err)
 	}
-	reqs = b
+	add(b)
 	for i := 0; i < 4; i++ { // alternate kinds: every frame switches the batch
 		add(wire.AppendAdmit(reqs, next(), uint64(300+i), 1))
 		add(wire.AppendDepart(reqs, next(), uint64(300+i)))
@@ -75,7 +75,9 @@ func mixedSequence() (reqs []byte, n int) {
 
 // runServed sends the request stream to a fresh server (writing it via
 // write) and returns the canonical re-encoding of the n response frames in
-// order.
+// order. The writer goroutine is joined before the connection closes, so
+// it can neither write on a closed connection nor report after the test
+// has returned.
 func runServed(t *testing.T, cfg Config, stream []byte, n int, write func(t *testing.T, nc net.Conn, stream []byte)) [][]byte {
 	t.Helper()
 	_, addr := startServer(t, cfg)
@@ -85,7 +87,12 @@ func runServed(t *testing.T, cfg Config, stream []byte, n int, write func(t *tes
 	}
 	defer nc.Close()
 	nc.SetDeadline(time.Now().Add(30 * time.Second))
-	go write(t, nc, stream)
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		write(t, nc, stream)
+	}()
+	defer func() { <-wrote }()
 	rd := wire.NewReader(nc)
 	out := make([][]byte, 0, n)
 	var f wire.Frame

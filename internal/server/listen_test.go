@@ -55,7 +55,9 @@ func TestShardedServeSpreadsConnections(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lns...) }()
-	defer func() {
+	stopped := false
+	shutdown := func() {
+		stopped = true
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
@@ -63,6 +65,11 @@ func TestShardedServeSpreadsConnections(t *testing.T) {
 		}
 		if err := <-done; err != nil {
 			t.Errorf("serve: %v", err)
+		}
+	}
+	defer func() {
+		if !stopped {
+			shutdown()
 		}
 	}()
 
@@ -80,6 +87,10 @@ func TestShardedServeSpreadsConnections(t *testing.T) {
 		nc.Close()
 	}
 
+	// A shard counts a response's bytes after its Write returns, which
+	// can be after the client has read them; Shutdown waits for every
+	// connection goroutine, so the counters are final once it returns.
+	shutdown()
 	snap := srv.Snapshot()
 	if len(snap.Shards) != shards {
 		t.Fatalf("snapshot has %d shards, want %d", len(snap.Shards), shards)

@@ -13,6 +13,13 @@
 //     time zero followed by pure departure dynamics — the ensemble runner
 //     in ensemble.go.
 //
+// The engine has two schedulers with the same law. When every pending clock
+// is exponential — the model declares traffic.Stats.ExpSegments (the
+// paper's RCBR sources), holding times are exponential and arrivals
+// Poisson — it draws the next event of the whole system from one
+// competing-exponentials clock (clock.go). Otherwise it keeps one event
+// per flow timer in a binary heap (heap.go).
+//
 // The engine implements the paper's Section 5.2 measurement methodology:
 // warm-up, point samples spaced 2·max(T~h, T_m, T_c) apart, the ±20%
 // confidence-interval stopping rule, and the Gaussian extrapolation for
@@ -134,7 +141,7 @@ type Result struct {
 
 	Admitted int64 // flows admitted (post warm-up and during warm-up)
 	Departed int64
-	Events   int64
+	Events   int64   // processed events; on the event heap this includes stale ones left by departed flows
 	SimTime  float64 // total simulated time including warm-up
 	Flows    int     // flows in the system at the end
 
@@ -192,6 +199,11 @@ type engineArena struct {
 	streams []rng.PCG // per-slot RNG substream storage, split into in place
 	free    []int     // recycled slots
 
+	// The competing-exponentials clock picks flows from a dense list of
+	// live slots; pos[slot] is the slot's index in active.
+	active []int32
+	pos    []int32
+
 	loadRun []float64 // deferred link updates: aggregate after each change
 	flowRun []int     // parallel flow counts
 }
@@ -210,6 +222,8 @@ func (a *engineArena) reset() {
 	a.alive = a.alive[:0]
 	a.streams = a.streams[:0]
 	a.free = a.free[:0]
+	a.active = a.active[:0]
+	a.pos = a.pos[:0]
 	a.loadRun = a.loadRun[:0]
 	a.flowRun = a.flowRun[:0]
 }
@@ -221,11 +235,31 @@ func (a *engineArena) grow() int {
 	a.epochs = append(a.epochs, 0)
 	a.alive = append(a.alive, false)
 	a.streams = append(a.streams, rng.PCG{})
+	a.pos = append(a.pos, 0)
 	return len(a.rates) - 1
+}
+
+// enlist appends a live slot to the dense active list.
+func (a *engineArena) enlist(slot int) {
+	a.pos[slot] = int32(len(a.active))
+	a.active = append(a.active, int32(slot))
+}
+
+// delist removes a slot from the active list by moving the last entry
+// into its place.
+func (a *engineArena) delist(slot int) {
+	i, last := a.pos[slot], len(a.active)-1
+	moved := a.active[last]
+	a.active[i] = moved
+	a.pos[moved] = i
+	a.active = a.active[:last]
 }
 
 // Engine runs continuous-load simulations. Construct with New, run with
 // Run. An Engine is single-use.
+//
+// Exactly one scheduler is live per run: clk when clk.on (memoryless
+// configurations), the event heap otherwise.
 type Engine struct {
 	cfg   Config
 	rng   *rng.PCG
@@ -239,6 +273,7 @@ type Engine struct {
 	sumSq   float64
 
 	events eventHeap
+	clk    expClock
 	lnk    *link.Link
 	buf    *link.FluidBuffer // nil unless BufferSize is set
 
@@ -325,6 +360,9 @@ func New(cfg Config) (*Engine, error) {
 		e.flowAware = fa
 	}
 	e.renew, _ = cfg.Model.(traffic.Renewer)
+	if st.ExpSegments && cfg.HoldingSampler == nil && st.CorrTime > 0 {
+		e.clk = newExpClock(st.CorrTime, cfg.HoldingTime, cfg.ArrivalRate)
+	}
 	e.ar = engineArenaPool.Get().(*engineArena)
 	e.ar.reset()
 	return e, nil
@@ -340,12 +378,14 @@ func (e *Engine) Run() (Result, error) {
 	e.cfg.Estimator.Update(e.sumRate, e.sumSq, e.nActive)
 	e.pushLoad()
 	if cfg.ArrivalRate > 0 {
-		e.seq++
-		e.events.push(event{t: e.rng.Exp(1 / cfg.ArrivalRate), kind: evArrival, flow: -1, seq: e.seq})
+		if !e.clk.on {
+			e.scheduleArrival()
+		}
 	} else {
 		e.tryAdmissions()
 	}
 	e.flushLoads()
+	e.rearm()
 
 	nextCheck := cfg.Warmup + cfg.CheckEvery
 	horizon := cfg.Warmup + cfg.MaxTime
@@ -354,10 +394,12 @@ func (e *Engine) Run() (Result, error) {
 	for e.processed < cfg.MaxEvents {
 		// The next thing that happens is the earlier of the next event and
 		// the horizon; warm-up activation and stop-rule checks that fall
-		// before it are handled first.
+		// before it are handled first. None of them changes the flow
+		// population, so a pending clock draw stays valid across them.
+		tEvent := e.nextEventTime()
 		next := horizon
-		if e.events.len() > 0 && e.events.peek().t < next {
-			next = e.events.peek().t
+		if tEvent < next {
+			next = tEvent
 		}
 		if !e.statsOn && cfg.Warmup <= next {
 			e.advanceTo(cfg.Warmup)
@@ -389,22 +431,29 @@ func (e *Engine) Run() (Result, error) {
 			nextCheck += cfg.CheckEvery
 			continue
 		}
-		if e.events.len() == 0 || e.events.peek().t > horizon {
+		if tEvent > horizon {
 			// Nothing more happens inside the budget.
 			e.advanceTo(horizon)
 			break
 		}
-		ev := e.events.pop()
 		e.processed++
-		if ev.kind != evArrival && !e.flowValid(ev) {
-			continue
+		var kind uint8
+		var slot int
+		if e.clk.on {
+			kind, slot = e.pick()
+		} else {
+			ev := e.events.pop()
+			if ev.kind != evArrival && !e.flowValid(ev) {
+				continue
+			}
+			kind, slot = ev.kind, int(ev.flow)
 		}
-		e.advanceTo(ev.t)
-		switch ev.kind {
+		e.advanceTo(tEvent)
+		switch kind {
 		case evSegment:
-			e.nextSegment(int(ev.flow))
+			e.nextSegment(slot)
 		case evDepart:
-			e.removeFlow(int(ev.flow))
+			e.removeFlow(slot)
 		case evArrival:
 			e.handleArrival()
 		}
@@ -421,6 +470,7 @@ func (e *Engine) Run() (Result, error) {
 		}
 		e.flushLoads()
 		e.maybeRenormalize()
+		e.rearm()
 	}
 	if !e.statsOn {
 		// Horizon shorter than the warm-up: still enable stats so the
@@ -601,6 +651,12 @@ func (e *Engine) admitFlow() {
 	if e.flowAware != nil {
 		e.flowAware.FlowAdmitted(slot, seg.Rate)
 	}
+	if e.clk.on {
+		// The flow's segment and departure clocks join the shared
+		// competing-exponentials clock; seg.Duration is not needed.
+		ar.enlist(slot)
+		return
+	}
 
 	e.seq++
 	e.events.push(event{t: e.clock + seg.Duration, kind: evSegment, flow: int32(slot), epoch: epoch, seq: e.seq})
@@ -628,13 +684,22 @@ func (e *Engine) handleArrival() {
 	} else if e.statsOn {
 		e.blocked++
 	}
+	if !e.clk.on {
+		e.scheduleArrival()
+	}
+}
+
+// scheduleArrival queues the next Poisson arrival on the event heap.
+func (e *Engine) scheduleArrival() {
 	e.seq++
 	e.events.push(event{t: e.clock + e.rng.Exp(1/e.cfg.ArrivalRate), kind: evArrival, flow: -1, seq: e.seq})
 }
 
 // nextSegment advances a flow to its next constant-rate segment, keeping
 // the RCBR renegotiation-failure books: a rate increase landing when the
-// link cannot fit it is a failed renegotiation.
+// link cannot fit it is a failed renegotiation. Under the
+// competing-exponentials clock the segment's duration is drawn (keeping
+// the flow's substream in step) but unused.
 func (e *Engine) nextSegment(slot int) {
 	ar := e.ar
 	old := ar.rates[slot]
@@ -650,6 +715,9 @@ func (e *Engine) nextSegment(slot int) {
 		if e.sumRate > e.cfg.Capacity {
 			e.renegFail++
 		}
+	}
+	if e.clk.on {
+		return
 	}
 	e.seq++
 	e.events.push(event{t: e.clock + seg.Duration, kind: evSegment, flow: int32(slot), epoch: ar.epochs[slot], seq: e.seq})
@@ -669,6 +737,9 @@ func (e *Engine) removeFlow(slot int) {
 	ar.alive[slot] = false
 	ar.rates[slot] = 0
 	ar.epochs[slot]++ // invalidate queued segment events
+	if e.clk.on {
+		ar.delist(slot)
+	}
 	e.nActive--
 	e.departed++
 	ar.free = append(ar.free, slot)

@@ -342,7 +342,10 @@ func TestOnOffWorkload(t *testing.T) {
 	}
 }
 
+// BenchmarkEngineRCBR runs short RCBR simulations under the genie
+// controller and reports the engine's cost per processed event.
 func BenchmarkEngineRCBR(b *testing.B) {
+	var events int64
 	for i := 0; i < b.N; i++ {
 		pk, _ := core.NewPerfectKnowledge(100, 1, 0.3, 1e-2)
 		e, err := New(Config{
@@ -357,18 +360,21 @@ func BenchmarkEngineRCBR(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(res.Events)/float64(b.Elapsed().Seconds()+1e-12), "events/s")
+		events += res.Events
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
 // BenchmarkEngineChurn stresses the arrival/departure path rather than the
 // segment sampler: Poisson arrivals with a short holding time make flow
-// turnover — slot recycling, epoch invalidation, and the event heap's
-// push/pop traffic (internal/sim/heap.go) — the dominant cost instead of
-// rate redraws. The allocs/op gate here is what catches a per-admission
-// allocation sneaking back into admitFlow or the heap growing per run.
+// turnover — slot recycling, source renewal and the competing-exponentials
+// clock's active-list swap-removes — the dominant cost instead of rate
+// redraws. The allocs/op gate here is what catches a per-admission
+// allocation sneaking back into admitFlow or a scheduler structure
+// growing per run.
 func BenchmarkEngineChurn(b *testing.B) {
 	b.ReportAllocs()
+	var events int64
 	for i := 0; i < b.N; i++ {
 		pk, _ := core.NewPerfectKnowledge(100, 1, 0.3, 1e-2)
 		e, err := New(Config{
@@ -383,6 +389,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(res.Events)/float64(b.Elapsed().Seconds()+1e-12), "events/s")
+		events += res.Events
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }

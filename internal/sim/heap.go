@@ -28,9 +28,12 @@ func (a event) before(b event) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap is a plain binary min-heap of events. It avoids container/heap
-// to keep the hot path free of interface calls — the simulator pushes and
-// pops one event per traffic segment, which dominates the run time.
+// eventHeap is a plain binary min-heap of events: the engine's scheduler
+// for configurations whose clocks are not all exponential (on-off, Markov
+// fluid, mixture and trace sources, custom holding-time samplers); the
+// memoryless ones run on expClock instead. It avoids container/heap to keep
+// the hot path free of interface calls, since every traffic segment costs
+// one push and one pop.
 type eventHeap struct {
 	h []event
 }

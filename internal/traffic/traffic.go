@@ -32,6 +32,15 @@ type Stats struct {
 	Variance float64 // stationary rate variance (sigma^2)
 	CorrTime float64 // correlation time-scale T_c (integral scale), 0 if unknown
 	Peak     float64 // peak (maximum) rate, +Inf if unbounded
+
+	// ExpSegments declares that every source's segment durations are i.i.d.
+	// exponential with mean CorrTime and independent of the segment rates.
+	// Each flow's renegotiation clock is then memoryless, so a simulator
+	// may schedule renegotiations as competing exponentials instead of
+	// queueing one timer per flow. Models that cannot promise this for
+	// every flow (state-dependent sojourns, mixtures of correlation times,
+	// deterministic trace intervals) leave it false.
+	ExpSegments bool
 }
 
 // StdDev returns sqrt(Variance).
@@ -87,9 +96,11 @@ func NewRCBR(mu, svr, tc float64) RCBR {
 
 // Stats implements Model. The moments account exactly for the truncation of
 // the Gaussian at zero (negligible for sigma/mu = 0.3 but not in general).
+// Segment lengths are Exp(CorrTime) draws independent of the rate, so RCBR
+// declares ExpSegments.
 func (m RCBR) Stats() Stats {
 	mean, variance := truncatedNormalMoments(m.Mean, m.Sigma, 0)
-	return Stats{Mean: mean, Variance: variance, CorrTime: m.CorrTime, Peak: math.Inf(1)}
+	return Stats{Mean: mean, Variance: variance, CorrTime: m.CorrTime, Peak: math.Inf(1), ExpSegments: true}
 }
 
 // New implements Model.
