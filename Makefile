@@ -46,6 +46,7 @@
 #              then both serving-path perf guards — adaptation off must
 #              leave the admit fast path untouched
 #   flake    — the serving packages' tests (server, cluster, wire, client)
+#              and the concurrent replay's (loadgen, cmd/gateway)
 #              repeated FLAKE_COUNT times under the race detector, so a
 #              test-harness race that fails only now and then (a writer
 #              goroutine outliving its test, a counter read before the
@@ -82,7 +83,7 @@ race:
 FLAKE_COUNT ?= 20
 
 flake:
-	$(GO) test -race -count=$(FLAKE_COUNT) ./internal/server ./internal/cluster ./internal/wire ./client
+	$(GO) test -race -count=$(FLAKE_COUNT) ./internal/server ./internal/cluster ./internal/wire ./client ./internal/loadgen ./cmd/gateway
 
 # Statistical tier: deterministic seeded ensembles (several seconds of
 # simulation), excluded from tier-1 by the "stat" build tag. The columnar/
@@ -154,9 +155,12 @@ golden:
 	$(GO) test ./internal/experiments -run TestGolden -update-golden
 	$(GO) test ./internal/scenario -run TestGoldenScenarioReports -update-golden
 
-# Static tier: the standard vet pass plus the repo-local enum/String
-# exhaustiveness check.
+# Static tier: gofmt (any file it would rewrite fails the tier; hidden
+# directories such as the benchmark's build cache are skipped), the
+# standard vet pass, and the repo-local enum/String exhaustiveness check.
 vet:
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/vetenum -dir internal/gateway -type Reason,DegradedPolicy
 	$(GO) run ./cmd/vetenum -dir internal/fault -type Mode

@@ -4,11 +4,12 @@
 // clock, then prints the admission statistics next to the paper's
 // perfect-knowledge prediction m*.
 //
-// The schedule is pregenerated from the RCBR model (Poisson arrivals,
-// exponential holding times, per-flow rate renegotiations) and replayed in
-// tick-sized windows: within a window, events hit the gateway from -workers
-// goroutines in arbitrary order — the realistic concurrent regime — and a
-// measurement tick closes the window.
+// The schedule is pregenerated by internal/loadgen from the RCBR model
+// (Poisson arrivals, exponential holding times, per-flow rate
+// renegotiations) and replayed in tick-sized windows: within a window,
+// loadgen.Run shards the flows across -workers goroutines by flow ID, so
+// each flow's events keep their order while different flows race — the
+// realistic concurrent regime — and a measurement tick closes the window.
 //
 // Example — a n=100 link under offered load 1.2× its flow capacity:
 //
@@ -59,8 +60,6 @@ import (
 	"math"
 	"os"
 	"os/signal"
-	"sort"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -71,28 +70,12 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/fault"
 	"repro/internal/gateway"
+	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/qos"
-	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/theory"
-	"repro/internal/traffic"
 )
-
-type evKind int
-
-const (
-	evAdmit evKind = iota
-	evUpdate
-	evDepart
-)
-
-type event struct {
-	t    float64
-	kind evKind
-	flow uint64
-	rate float64
-}
 
 func main() {
 	var (
@@ -108,8 +91,7 @@ func main() {
 		duration  = flag.Float64("duration", 2000, "virtual replay duration")
 		tick      = flag.Float64("tick", 0.5, "measurement tick period (virtual time)")
 		workers   = flag.Int("workers", 8, "concurrent client goroutines")
-		batch     = flag.Int("batch", 32, "admissions coalesced per AdmitBatch call (1 = per-call Admit)")
-		latsample = flag.Int("latsample", 1, "observe admission latency 1-in-N per shard (1 = every decision)")
+		batch     = flag.Int("batch", 32, "admissions coalesced per AdmitBatch call")
 		shards    = flag.Int("shards", 16, "gateway flow-table shards")
 		seed      = flag.Uint64("seed", 1, "schedule random seed")
 		listen    = flag.String("listen", "", "serve the observability endpoint on this address (e.g. :8080)")
@@ -139,9 +121,6 @@ func main() {
 	}
 	if *batch < 1 {
 		fatal(fmt.Errorf("batch %d must be at least 1", *batch))
-	}
-	if *latsample < 0 {
-		fatal(fmt.Errorf("latsample %d must be non-negative", *latsample))
 	}
 	if *clusterN < 0 {
 		fatal(fmt.Errorf("cluster %d must be non-negative", *clusterN))
@@ -228,6 +207,37 @@ func main() {
 		// SetMemory, so the retune loop cannot reach the real filter.
 		fatal(fmt.Errorf("-adaptive cannot be combined with -faults"))
 	}
+	gatewayConfig := func(est estimator.Estimator) gateway.Config {
+		return gateway.Config{
+			Capacity:       *n,
+			Controller:     ctrl,
+			Estimator:      est,
+			Shards:         *shards,
+			TickInterval:   *tickInterval,
+			OverflowWindow: *window,
+			FlowTTL:        *ttl,
+			StaleAfter:     *staleAfter,
+			Degraded:       policy,
+			Tuner:          newTuner(),
+		}
+	}
+	if *clusterN > 0 {
+		pol, err := cluster.ParsePlacementPolicy(*placement)
+		if err != nil {
+			fatal(err)
+		}
+		ccfg := cluster.Config{Policy: pol, TickInterval: *tickInterval}
+		for i := 0; i < *clusterN; i++ {
+			ccfg.Instances = append(ccfg.Instances, gatewayConfig(newEstimator()))
+		}
+		cl, err := cluster.New(ccfg)
+		if err != nil {
+			fatal(err)
+		}
+		runServe(cl.Gateway(0), cl, *addr, *listen, *maxConns, *frameRate, *lnShards, tuners)
+		return
+	}
+
 	est := newEstimator()
 	// The fault wrapper sits between the gateway and the real estimator
 	// whenever a fault schedule is given, so injected NaN bursts and
@@ -238,54 +248,13 @@ func main() {
 		faulty = fault.Wrap(est)
 		est = faulty
 	}
-	if *clusterN > 0 {
-		pol, err := cluster.ParsePlacementPolicy(*placement)
-		if err != nil {
-			fatal(err)
-		}
-		ccfg := cluster.Config{Policy: pol, TickInterval: *tickInterval}
-		for i := 0; i < *clusterN; i++ {
-			ccfg.Instances = append(ccfg.Instances, gateway.Config{
-				Capacity:       *n,
-				Controller:     ctrl,
-				Estimator:      newEstimator(),
-				Shards:         *shards,
-				TickInterval:   *tickInterval,
-				LatencySample:  *latsample,
-				OverflowWindow: *window,
-				FlowTTL:        *ttl,
-				StaleAfter:     *staleAfter,
-				Degraded:       policy,
-				Tuner:          newTuner(),
-			})
-		}
-		cl, err := cluster.New(ccfg)
-		if err != nil {
-			fatal(err)
-		}
-		runServeCluster(cl, *addr, *listen, *maxConns, *frameRate, *lnShards, tuners)
-		return
-	}
-
-	g, err := gateway.New(gateway.Config{
-		Capacity:       *n,
-		Controller:     ctrl,
-		Estimator:      est,
-		Shards:         *shards,
-		TickInterval:   *tickInterval,
-		LatencySample:  *latsample,
-		OverflowWindow: *window,
-		FlowTTL:        *ttl,
-		StaleAfter:     *staleAfter,
-		Degraded:       policy,
-		Tuner:          newTuner(),
-	})
+	g, err := gateway.New(gatewayConfig(est))
 	if err != nil {
 		fatal(err)
 	}
 
 	if *serve {
-		runServe(g, *addr, *listen, *maxConns, *frameRate, *lnShards, tuners)
+		runServe(g, nil, *addr, *listen, *maxConns, *frameRate, *lnShards, tuners)
 		return
 	}
 
@@ -310,29 +279,25 @@ func main() {
 		}
 	}
 
-	events := schedule(*lambda, *duration, *th, traffic.NewRCBR(1, *svr, *tc), rng.New(*seed, 0x677764), plan)
+	events, err := loadgen.Schedule(loadgen.Config{
+		Seed: *seed, Lambda: *lambda, Hold: *th, SVR: *svr, TC: *tc, Duration: *duration,
+		Plan: plan, Renegotiate: true,
+	})
+	if err != nil {
+		fatal(err)
+	}
+	flows := 0
+	for _, ev := range events {
+		if ev.Kind == loadgen.KindAdmit {
+			flows++
+		}
+	}
 	fmt.Printf("schedule:   %d events (%d flows) over %g virtual time units\n",
-		len(events), countAdmits(events), *duration)
+		len(events), flows, *duration)
 
 	start := time.Now()
 	activeSum, ticks := 0.0, 0
-	// Per-worker batching scratch lives across windows so the replay's
-	// steady state reuses the same admission buffers every window.
-	scratch := make([]replayWorker, *workers)
-	for i := range scratch {
-		scratch[i].init(*batch)
-	}
-	// Replay window by window: all events inside one tick period run
-	// concurrently across the workers, then a measurement tick closes the
-	// window and republishes the bound.
-	for lo, now := 0, 0.0; lo < len(events) || now < *duration; {
-		now += *tick
-		hi := lo
-		for hi < len(events) && events[hi].t <= now {
-			hi++
-		}
-		replayWindow(g, events[lo:hi], scratch, *batch)
-		lo = hi
+	err = replay(g, events, *duration, *tick, loadgen.RunConfig{Workers: *workers, Batch: *batch}, func(now float64) {
 		if faulty != nil {
 			faulty.SetMode(fault.ModeAt(faultWindows, now))
 		}
@@ -353,10 +318,19 @@ func main() {
 			default:
 			}
 		}
+	})
+	if err != nil {
+		fatal(err)
 	}
 	wall := time.Since(start)
 
 	st := g.Stats()
+	// Every scheduled flow carries a unique ID and a valid rate, so each
+	// admission is decided on capacity; an invalid-rate or duplicate
+	// decision (counted by neither Admitted nor Rejected) is a driver bug.
+	if st.Admitted+st.Rejected != int64(flows) {
+		fatal(fmt.Errorf("replay decided %d of %d scheduled flows on capacity", st.Admitted+st.Rejected, flows))
+	}
 	mstar := theory.AdmissibleFlows(*n, 1, *svr, *pce)
 	fmt.Printf("replay:     %v wall, %.0f events/sec, %d workers\n",
 		wall.Round(time.Millisecond), float64(len(events))/wall.Seconds(), *workers)
@@ -424,14 +398,58 @@ func main() {
 	}
 }
 
-// runServe is the -serve mode: the gateway becomes a long-running network
-// admission server. The measurement loop ticks on the wall clock, the
-// wire protocol is served on addr, and SIGINT/SIGTERM trigger the
-// graceful drain — stop accepting, flush in-flight decisions, depart
-// nothing and let the flow leases reclaim what clients abandoned.
-func runServe(g *gateway.Gateway, addr, listen string, maxConns, frameRate, lnShards int, tuners []*adaptive.Controller) {
+// replay runs the schedule against g window by window: every event due by
+// the end of a tick period runs through loadgen.Run, which shards flows
+// across the workers by ID, then tick(now) closes the window — the hook
+// where the caller ticks the gateway. The per-worker targets, and with
+// them their decision buffers, are reused across windows.
+func replay(g *gateway.Gateway, events []loadgen.Event, duration, period float64, cfg loadgen.RunConfig, tick func(now float64)) error {
+	targets := make([]loadgen.GatewayTarget, cfg.Workers)
+	for i := range targets {
+		targets[i].G = g
+	}
+	target := func(w int) loadgen.Target { return &targets[w] }
+	for lo, now := 0, 0.0; lo < len(events) || now < duration; {
+		now += period
+		hi := lo
+		for hi < len(events) && events[hi].T <= now {
+			hi++
+		}
+		if hi > lo {
+			if _, err := loadgen.Run(context.Background(), target, events[lo:hi], cfg); err != nil {
+				return err
+			}
+		}
+		lo = hi
+		tick(now)
+	}
+	return nil
+}
+
+// backend is what -serve fronts: one gateway, or a cluster of them behind
+// the headroom router.
+type backend interface {
+	server.Backend
+	Run(ctx context.Context)
+	Stats() gateway.Stats
+}
+
+// runServe is the -serve mode: the gateway g, or with -cluster the
+// cluster cl, becomes a long-running network admission server (g is then
+// the cluster's first instance, the one the observability endpoint
+// snapshots). The measurement loop ticks on the wall clock, the wire
+// protocol is served on addr, and SIGINT/SIGTERM trigger the graceful
+// drain — stop accepting, flush in-flight decisions, depart nothing and
+// let the flow leases reclaim what clients abandoned. Instance
+// drain/failover is an admin-plane operation on the cluster, not part of
+// process shutdown.
+func runServe(g *gateway.Gateway, cl *cluster.Cluster, addr, listen string, maxConns, frameRate, lnShards int, tuners []*adaptive.Controller) {
+	var b backend = g
+	if cl != nil {
+		b = cl
+	}
 	srv, err := server.New(server.Config{
-		Gateway:   g,
+		Backend:   b,
 		MaxConns:  maxConns,
 		FrameRate: frameRate,
 	})
@@ -444,7 +462,7 @@ func runServe(g *gateway.Gateway, addr, listen string, maxConns, frameRate, lnSh
 	}
 	var endpoint *obs.Endpoint
 	if listen != "" {
-		endpoint, err = obs.Start(obs.Config{Addr: listen, Gateway: g, Server: srv, Adaptive: tuners})
+		endpoint, err = obs.Start(obs.Config{Addr: listen, Gateway: g, Server: srv, Cluster: cl, Adaptive: tuners})
 		if err != nil {
 			fatal(err)
 		}
@@ -452,13 +470,18 @@ func runServe(g *gateway.Gateway, addr, listen string, maxConns, frameRate, lnSh
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	tickDone := make(chan struct{})
-	go func() { defer close(tickDone); g.Run(ctx) }()
+	go func() { defer close(tickDone); b.Run(ctx) }()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(lns...) }()
-	fmt.Printf("serving:    admission protocol on %s across %d listener shard(s) (Ctrl-C to drain)\n",
-		lns[0].Addr(), len(lns))
+	fleet, pages := "", "metrics/snapshot/pprof"
+	if cl != nil {
+		fleet = fmt.Sprintf(", %d-instance cluster (%s placement)", cl.Instances(), cl.Snapshot().Policy)
+		pages = "metrics/snapshot/cluster/pprof"
+	}
+	fmt.Printf("serving:    admission protocol on %s across %d listener shard(s)%s (Ctrl-C to drain)\n",
+		lns[0].Addr(), len(lns), fleet)
 	if endpoint != nil {
-		fmt.Printf("observing:  metrics/snapshot/pprof on %s\n", endpoint.Addr())
+		fmt.Printf("observing:  %s on %s\n", pages, endpoint.Addr())
 	}
 
 	var obsErr <-chan error
@@ -494,247 +517,22 @@ func runServe(g *gateway.Gateway, addr, listen string, maxConns, frameRate, lnSh
 		}
 	}
 	snap := srv.Snapshot()
-	st := g.Stats()
+	st := b.Stats()
 	fmt.Printf("served:     %d conns (%d refused), %d frames, %d decisions in %d batches (mean %.2f)\n",
 		snap.ConnsAccepted, snap.ConnsRefused+snap.ConnsDrainRef, snap.Frames,
 		snap.Decisions, snap.Batches, snap.MeanBatch())
 	fmt.Printf("admission:  %d admitted, %d rejected, %d departed, %d expired, %d active at drain\n",
 		st.Admitted, st.Rejected, st.Departed, st.Expired, st.Active)
-}
-
-// runServeCluster is the -serve -cluster N mode: the wire protocol is
-// served over a fleet of gateway instances behind the headroom router.
-// The drain contract matches runServe — stop accepting, flush in-flight
-// decisions, depart nothing; instance drain/failover is an admin-plane
-// operation on the cluster, not part of process shutdown.
-func runServeCluster(cl *cluster.Cluster, addr, listen string, maxConns, frameRate, lnShards int, tuners []*adaptive.Controller) {
-	srv, err := cluster.NewServer(cl, server.Config{
-		MaxConns:  maxConns,
-		FrameRate: frameRate,
-	})
-	if err != nil {
-		fatal(err)
+	if cl == nil {
+		return
 	}
-	lns, err := server.Listen(addr, lnShards)
-	if err != nil {
-		fatal(err)
-	}
-	var endpoint *obs.Endpoint
-	if listen != "" {
-		endpoint, err = obs.Start(obs.Config{Addr: listen, Gateway: cl.Gateway(0), Server: srv, Cluster: cl, Adaptive: tuners})
-		if err != nil {
-			fatal(err)
-		}
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	tickDone := make(chan struct{})
-	go func() { defer close(tickDone); cl.Run(ctx) }()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(lns...) }()
-	fmt.Printf("serving:    admission protocol on %s across %d listener shard(s), %d-instance cluster (%s placement)\n",
-		lns[0].Addr(), len(lns), cl.Instances(), cl.Snapshot().Policy)
-	if endpoint != nil {
-		fmt.Printf("observing:  metrics/snapshot/cluster/pprof on %s\n", endpoint.Addr())
-	}
-
-	var obsErr <-chan error
-	if endpoint != nil {
-		obsErr = endpoint.Err()
-	}
-	select {
-	case <-ctx.Done():
-	case err := <-serveDone:
-		if err != nil {
-			fatal(fmt.Errorf("admission server: %w", err))
-		}
-	case err := <-obsErr:
-		if err != nil {
-			fatal(err)
-		}
-	}
-	stop()
-	<-tickDone
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "gateway: drain incomplete: %v\n", err)
-	}
-	if err := <-serveDone; err != nil {
-		fatal(fmt.Errorf("admission server: %w", err))
-	}
-	if endpoint != nil {
-		if err := endpoint.Shutdown(drainCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "gateway: observability shutdown: %v\n", err)
-		}
-	}
-	snap := srv.Snapshot()
-	st := cl.Stats()
 	cs := cl.Snapshot()
-	fmt.Printf("served:     %d conns (%d refused), %d frames, %d decisions in %d batches (mean %.2f)\n",
-		snap.ConnsAccepted, snap.ConnsRefused+snap.ConnsDrainRef, snap.Frames,
-		snap.Decisions, snap.Batches, snap.MeanBatch())
-	fmt.Printf("admission:  %d admitted, %d rejected, %d departed, %d expired, %d active at drain\n",
-		st.Admitted, st.Rejected, st.Departed, st.Expired, st.Active)
 	fmt.Printf("cluster:    %d pinned, %d placements, %d migrations (%d failed), %d drains\n",
 		cs.Pinned, cs.Placements, cs.Migrations, cs.MigrationFailures, cs.Drains)
 	for _, in := range cs.Instances {
 		fmt.Printf("instance %d: %s, bound %.4g, active %d, headroom %.4g, placed %d\n",
 			in.Index, in.State, in.Bound, in.Active, in.Headroom, in.Placements)
 	}
-}
-
-// schedule pregenerates the full event list: Poisson arrivals over
-// [0, duration), each flow carrying an exponential holding time and RCBR
-// rate renegotiations at its segment boundaries. Events are sorted by time
-// (ties broken by flow then kind for determinism). The client plan shapes
-// misbehavior deterministically: lying clients declare plan.Declared of
-// their first segment rate (their true rates still arrive via updates),
-// and leaking flows simply have no departure event — their slots are the
-// lease sweep's problem. With an honest, non-leaking plan the schedule is
-// bit-identical to previous releases for the same seed.
-func schedule(lambda, duration, th float64, model traffic.Model, r *rng.PCG, plan fault.ClientPlan) []event {
-	var events []event
-	id := uint64(0)
-	for t := r.Exp(1 / lambda); t < duration; t += r.Exp(1 / lambda) {
-		fr := r.Split(id)
-		src := model.New(fr)
-		hold := fr.Exp(th)
-		if t+hold > duration {
-			hold = duration - t
-		}
-		seg := src.Next()
-		events = append(events, event{t: t, kind: evAdmit, flow: id, rate: plan.Declared(seg.Rate)})
-		for st := seg.Duration; st < hold; {
-			seg = src.Next()
-			events = append(events, event{t: t + st, kind: evUpdate, flow: id, rate: seg.Rate})
-			st += seg.Duration
-		}
-		if !(plan.LeakP > 0 && plan.Leaks(fr.Float64())) {
-			events = append(events, event{t: t + hold, kind: evDepart, flow: id})
-		}
-		id++
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].t != events[j].t {
-			return events[i].t < events[j].t
-		}
-		if events[i].flow != events[j].flow {
-			return events[i].flow < events[j].flow
-		}
-		return events[i].kind < events[j].kind
-	})
-	return events
-}
-
-// replayWorker is one goroutine's persistent admission-batching scratch:
-// consecutive arrivals in the worker's event stride coalesce into one
-// AdmitBatch call, amortizing the clock reads and bound load across the
-// bulk arrival, exactly how a production front end drains its accept
-// queue.
-type replayWorker struct {
-	ids   []uint64
-	rates []float64
-	dst   []gateway.Decision
-}
-
-func (rw *replayWorker) init(batch int) {
-	rw.ids = make([]uint64, 0, batch)
-	rw.rates = make([]float64, 0, batch)
-	rw.dst = make([]gateway.Decision, 0, batch)
-}
-
-// flush submits the pending arrivals, if any. The schedule generates
-// unique flow IDs with valid rates, so per-item input Decisions indicate a
-// driver bug and are fatal; capacity refusals are the normal outcome for
-// an overloaded link.
-func (rw *replayWorker) flush(g *gateway.Gateway) {
-	if len(rw.ids) == 0 {
-		return
-	}
-	var err error
-	rw.dst, err = g.AdmitBatch(rw.ids, rw.rates, rw.dst[:0])
-	if err != nil {
-		fatal(err)
-	}
-	for _, d := range rw.dst {
-		if d.Reason == gateway.ReasonInvalidRate || d.Reason == gateway.ReasonDuplicate {
-			fatal(fmt.Errorf("replay schedule produced a %v admission", d.Reason))
-		}
-	}
-	rw.ids = rw.ids[:0]
-	rw.rates = rw.rates[:0]
-}
-
-// replayWindow executes one window's events against the gateway, one
-// goroutine per scratch entry. A worker batches the admits in its stride
-// and flushes before any update/depart so per-flow event order is
-// preserved within the stride. Events of a rejected flow surface as "not
-// active" errors from UpdateRate/Depart and are skipped; any other error
-// is fatal.
-func replayWindow(g *gateway.Gateway, window []event, scratch []replayWorker, batch int) {
-	if len(window) == 0 {
-		return
-	}
-	workers := len(scratch)
-	if workers > len(window) {
-		workers = len(window)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rw := &scratch[w]
-			for i := w; i < len(window); i += workers {
-				ev := window[i]
-				switch ev.kind {
-				case evAdmit:
-					if batch == 1 {
-						if _, err := g.Admit(ev.flow, ev.rate); err != nil {
-							fatal(err)
-						}
-						continue
-					}
-					rw.ids = append(rw.ids, ev.flow)
-					rw.rates = append(rw.rates, ev.rate)
-					if len(rw.ids) >= batch {
-						rw.flush(g)
-					}
-				case evUpdate:
-					rw.flush(g)
-					if err := g.UpdateRate(ev.flow, ev.rate); err != nil && !notActive(err) {
-						fatal(err)
-					}
-				case evDepart:
-					rw.flush(g)
-					if err := g.Depart(ev.flow); err != nil && !notActive(err) {
-						fatal(err)
-					}
-				}
-			}
-			rw.flush(g)
-		}()
-	}
-	wg.Wait()
-}
-
-// notActive reports whether err is the gateway's unknown-flow error.
-func notActive(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "not active")
-}
-
-// countAdmits counts the admission requests in the schedule.
-func countAdmits(events []event) int {
-	n := 0
-	for _, ev := range events {
-		if ev.kind == evAdmit {
-			n++
-		}
-	}
-	return n
 }
 
 func fatal(err error) {

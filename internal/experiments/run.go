@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/estimator"
@@ -94,63 +92,6 @@ func simBudget(f Fidelity) float64 {
 	default:
 		return 6e6
 	}
-}
-
-// parallelMap evaluates fn for every index in [0, n) on up to GOMAXPROCS
-// workers and returns the first error. Every simulation point seeds its own
-// RNG substream, so results are bitwise independent of scheduling; callers
-// write into index-addressed slices to keep table order deterministic.
-func parallelMap(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		err  error
-		next int
-	)
-	take := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= n || err != nil {
-			return -1
-		}
-		i := next
-		next++
-		return i
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := take()
-				if i < 0 {
-					return
-				}
-				if e := fn(i); e != nil {
-					mu.Lock()
-					if err == nil {
-						err = e
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return err
 }
 
 // quickTarget relaxes a certainty-equivalent target at Quick fidelity so

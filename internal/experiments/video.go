@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -62,7 +64,7 @@ func runVideo(f Fidelity, seed uint64, withMemory bool) ([]*Table, error) {
 		st.Mean, st.StdDev(), tr.Hurst(), st.CorrTime)
 	sweep := videoThSweep(f)
 	rows := make([][]float64, len(sweep))
-	err = parallelMap(len(sweep), func(i int) error {
+	err = sim.Replicated{Replications: len(sweep), Stripes: len(sweep)}.Run(context.Background(), func(_, i int, _ *rng.PCG) error {
 		th := sweep[i]
 		thTilde := th / math.Sqrt(n)
 		tm := 0.0

@@ -16,7 +16,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/client"
@@ -234,6 +233,15 @@ type Stats struct {
 	UpdateMissed int64
 }
 
+func (s *Stats) add(o Stats) {
+	s.Admitted += o.Admitted
+	s.Rejected += o.Rejected
+	s.Departed += o.Departed
+	s.NotActive += o.NotActive
+	s.Updated += o.Updated
+	s.UpdateMissed += o.UpdateMissed
+}
+
 // Target is an admission substrate a schedule can replay against: the
 // in-process gateway or the network client, interchangeably.
 type Target interface {
@@ -310,6 +318,89 @@ func (t ClientTarget) UpdateRate(ctx context.Context, flow uint64, rate float64)
 	}
 }
 
+// replayer is one goroutine's replay state: the admission batch being
+// coalesced and the outcome counts. Replay runs one; Run runs one per
+// worker and sums their Stats after the workers finish, so no counter is
+// shared between goroutines.
+type replayer struct {
+	ctx   context.Context
+	tgt   Target
+	batch int
+	ids   []uint64
+	rates []float64
+	st    Stats
+}
+
+func newReplayer(ctx context.Context, tgt Target, batch int) *replayer {
+	batch = max(batch, 1)
+	return &replayer{
+		ctx:   ctx,
+		tgt:   tgt,
+		batch: batch,
+		ids:   make([]uint64, 0, batch),
+		rates: make([]float64, 0, batch),
+	}
+}
+
+// flush submits the pending admits, if any.
+func (r *replayer) flush() error {
+	if len(r.ids) == 0 {
+		return nil
+	}
+	ds, err := r.tgt.AdmitBatch(r.ctx, r.ids, r.rates)
+	if err != nil {
+		return err
+	}
+	for _, d := range ds {
+		if d.Admitted {
+			r.st.Admitted++
+		} else {
+			r.st.Rejected++
+		}
+	}
+	r.ids = r.ids[:0]
+	r.rates = r.rates[:0]
+	return nil
+}
+
+// step applies one event. Admits coalesce up to the batch size; a depart
+// or update flushes them first, so per-flow event order holds.
+func (r *replayer) step(ev Event) error {
+	if ev.Kind == KindAdmit {
+		r.ids = append(r.ids, ev.Flow)
+		r.rates = append(r.rates, ev.Rate)
+		if len(r.ids) >= r.batch {
+			return r.flush()
+		}
+		return nil
+	}
+	if err := r.flush(); err != nil {
+		return err
+	}
+	if ev.Kind == KindDepart {
+		active, err := r.tgt.Depart(r.ctx, ev.Flow)
+		if err != nil {
+			return err
+		}
+		if active {
+			r.st.Departed++
+		} else {
+			r.st.NotActive++
+		}
+		return nil
+	}
+	active, err := r.tgt.UpdateRate(r.ctx, ev.Flow, ev.Rate)
+	if err != nil {
+		return err
+	}
+	if active {
+		r.st.Updated++
+	} else {
+		r.st.UpdateMissed++
+	}
+	return nil
+}
+
 // Replay runs the schedule against tgt deterministically: one goroutine,
 // strict event order, consecutive admits coalesced into AdmitBatch calls
 // of up to batch (flushed before any depart, so per-flow order holds).
@@ -317,84 +408,27 @@ func (t ClientTarget) UpdateRate(ctx context.Context, flow uint64, rate float64)
 // the hook through which a test drives measurement ticks identically on
 // two substrates.
 func Replay(ctx context.Context, tgt Target, events []Event, batch int, window float64, tick func(now float64)) (Stats, error) {
-	if batch < 1 {
-		batch = 1
-	}
-	var st Stats
-	ids := make([]uint64, 0, batch)
-	rates := make([]float64, 0, batch)
-	flush := func() error {
-		if len(ids) == 0 {
-			return nil
-		}
-		ds, err := tgt.AdmitBatch(ctx, ids, rates)
-		if err != nil {
-			return err
-		}
-		for _, d := range ds {
-			if d.Admitted {
-				st.Admitted++
-			} else {
-				st.Rejected++
-			}
-		}
-		ids = ids[:0]
-		rates = rates[:0]
-		return nil
-	}
+	r := newReplayer(ctx, tgt, batch)
 	now := 0.0
 	for _, ev := range events {
 		if tick != nil && window > 0 {
 			for ev.T > now {
-				if err := flush(); err != nil {
-					return st, err
+				if err := r.flush(); err != nil {
+					return r.st, err
 				}
 				now += window
 				tick(now)
 			}
 		}
-		switch ev.Kind {
-		case KindAdmit:
-			ids = append(ids, ev.Flow)
-			rates = append(rates, ev.Rate)
-			if len(ids) >= batch {
-				if err := flush(); err != nil {
-					return st, err
-				}
-			}
-		case KindDepart:
-			if err := flush(); err != nil {
-				return st, err
-			}
-			active, err := tgt.Depart(ctx, ev.Flow)
-			if err != nil {
-				return st, err
-			}
-			if active {
-				st.Departed++
-			} else {
-				st.NotActive++
-			}
-		case KindUpdate:
-			if err := flush(); err != nil {
-				return st, err
-			}
-			active, err := tgt.UpdateRate(ctx, ev.Flow, ev.Rate)
-			if err != nil {
-				return st, err
-			}
-			if active {
-				st.Updated++
-			} else {
-				st.UpdateMissed++
-			}
+		if err := r.step(ev); err != nil {
+			return r.st, err
 		}
 	}
-	return st, flush()
+	return r.st, r.flush()
 }
 
 // RunConfig parameterizes a concurrent open-loop run (the cmd/loadgen
-// tool and the soak test).
+// tool, cmd/gateway's replay windows and the soak tests).
 type RunConfig struct {
 	Workers int // concurrent replay goroutines (flows shard by id)
 	Batch   int // admits coalesced per AdmitBatch call within a worker
@@ -406,128 +440,65 @@ type RunConfig struct {
 
 // Run replays the schedule concurrently and open-loop: each worker owns
 // the flows with id % Workers == its index and walks their events in
-// time order, sleeping toward each event's wall time under Timescale.
-// Per-flow event order is exact; cross-flow interleaving is whatever the
-// race produces — this is the load tool, not the determinism check.
+// time order, skipping the other workers' flows and sleeping toward each
+// event's wall time under Timescale. Per-flow event order is exact;
+// cross-flow interleaving is whatever the race produces — this is the
+// load tool, not the determinism check. Run returns the workers' summed
+// Stats and the first worker error.
 func Run(ctx context.Context, tgt func(worker int) Target, events []Event, cfg RunConfig) (Stats, error) {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	per := make([][]Event, cfg.Workers)
-	for _, ev := range events {
-		w := int(ev.Flow % uint64(cfg.Workers))
-		per[w] = append(per[w], ev)
-	}
-	var admitted, rejected, departed, notActive, updated, updateMissed atomic.Int64
+	workers := max(cfg.Workers, 1)
+	rs := make([]*replayer, workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	errs := make(chan error, cfg.Workers)
 	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
+	for w := range rs {
+		rs[w] = newReplayer(ctx, tgt(w), cfg.Batch)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			t := tgt(w)
-			ids := make([]uint64, 0, cfg.Batch)
-			rates := make([]float64, 0, cfg.Batch)
-			flush := func() error {
-				if len(ids) == 0 {
-					return nil
-				}
-				ds, err := t.AdmitBatch(ctx, ids, rates)
-				if err != nil {
-					return err
-				}
-				for _, d := range ds {
-					if d.Admitted {
-						admitted.Add(1)
-					} else {
-						rejected.Add(1)
-					}
-				}
-				ids = ids[:0]
-				rates = rates[:0]
-				return nil
-			}
-			for _, ev := range per[w] {
-				if ctx.Err() != nil {
-					errs <- ctx.Err()
-					return
-				}
-				if cfg.Timescale > 0 {
-					due := start.Add(time.Duration(ev.T * float64(cfg.Timescale)))
-					if d := time.Until(due); d > 0 {
-						// Pace the open loop: flush what we have, then wait.
-						if err := flush(); err != nil {
-							errs <- err
-							return
-						}
-						select {
-						case <-time.After(d):
-						case <-ctx.Done():
-							errs <- ctx.Err()
-							return
-						}
-					}
-				}
-				switch ev.Kind {
-				case KindAdmit:
-					ids = append(ids, ev.Flow)
-					rates = append(rates, ev.Rate)
-					if len(ids) >= max(cfg.Batch, 1) {
-						if err := flush(); err != nil {
-							errs <- err
-							return
-						}
-					}
-				case KindDepart:
-					if err := flush(); err != nil {
-						errs <- err
-						return
-					}
-					active, err := t.Depart(ctx, ev.Flow)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if active {
-						departed.Add(1)
-					} else {
-						notActive.Add(1)
-					}
-				case KindUpdate:
-					if err := flush(); err != nil {
-						errs <- err
-						return
-					}
-					active, err := t.UpdateRate(ctx, ev.Flow, ev.Rate)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if active {
-						updated.Add(1)
-					} else {
-						updateMissed.Add(1)
-					}
-				}
-			}
-			errs <- flush()
+			errs[w] = rs[w].run(events, uint64(w), uint64(workers), start, cfg.Timescale)
 		}(w)
 	}
 	wg.Wait()
-	close(errs)
-	st := Stats{
-		Admitted:     admitted.Load(),
-		Rejected:     rejected.Load(),
-		Departed:     departed.Load(),
-		NotActive:    notActive.Load(),
-		Updated:      updated.Load(),
-		UpdateMissed: updateMissed.Load(),
+	var st Stats
+	for _, r := range rs {
+		st.add(r.st)
 	}
-	for err := range errs {
+	for _, err := range errs {
 		if err != nil {
 			return st, err
 		}
 	}
 	return st, nil
+}
+
+// run is one Run worker: it replays the events of the flows with
+// id % workers == shard.
+func (r *replayer) run(events []Event, shard, workers uint64, start time.Time, timescale time.Duration) error {
+	for _, ev := range events {
+		if ev.Flow%workers != shard {
+			continue
+		}
+		if err := r.ctx.Err(); err != nil {
+			return err
+		}
+		if timescale > 0 {
+			due := start.Add(time.Duration(ev.T * float64(timescale)))
+			if d := time.Until(due); d > 0 {
+				// Pace the open loop: flush what we have, then wait.
+				if err := r.flush(); err != nil {
+					return err
+				}
+				select {
+				case <-time.After(d):
+				case <-r.ctx.Done():
+					return r.ctx.Err()
+				}
+			}
+		}
+		if err := r.step(ev); err != nil {
+			return err
+		}
+	}
+	return r.flush()
 }

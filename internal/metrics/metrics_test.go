@@ -232,10 +232,10 @@ func TestHistogramObserveN(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4})
 	h.ObserveN(1.5, 3)
 	h.ObserveN(100, 2)
-	h.ObserveN(0.5, 0)            // dropped: n <= 0
-	h.ObserveN(0.5, -4)           // dropped: n <= 0
-	h.ObserveN(math.NaN(), 5)     // dropped: NaN
-	want := []int64{0, 3, 0, 2}   // 1.5 -> bucket 1, 100 -> overflow
+	h.ObserveN(0.5, 0)          // dropped: n <= 0
+	h.ObserveN(0.5, -4)         // dropped: n <= 0
+	h.ObserveN(math.NaN(), 5)   // dropped: NaN
+	want := []int64{0, 3, 0, 2} // 1.5 -> bucket 1, 100 -> overflow
 	s := h.Snapshot()
 	for i, w := range want {
 		if s.Counts[i] != w {

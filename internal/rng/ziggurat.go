@@ -121,8 +121,8 @@ func (p *PCG) normalSlow(b uint64, x float64) float64 {
 		// Rejected: draw the next candidate, replaying Normal's fast accept
 		// here so the loop matches the historical draw order bit for bit.
 		b = p.Uint64()
-		j := b & (zigLayers - 1)                // bits 0..7: layer
-		x = float64(b>>11) * 0x1p-53 * zigX[j]  // bits 11..63: uniform [0,1)
+		j := b & (zigLayers - 1)               // bits 0..7: layer
+		x = float64(b>>11) * 0x1p-53 * zigX[j] // bits 11..63: uniform [0,1)
 		if x < zigX[j+1] {
 			if b&(1<<8) != 0 {
 				return -x

@@ -138,7 +138,7 @@ func TestFastGenericServedDifferential(t *testing.T) {
 		}
 	}
 	gatewayCfg := func(disableFast bool) Config {
-		return Config{Gateway: newTestGateway(t, 20), DisableFastPath: disableFast}
+		return Config{Gateway: newTestGateway(t, 20), disableFastPath: disableFast}
 	}
 
 	want := runServed(t, gatewayCfg(true), stream, n, oneWrite)
