@@ -16,10 +16,12 @@
 #              baseline, gating ns/decision (the budgeted number) and
 #              allocs/op rather than ns/op of the whole pipelined round
 #   bench-sim-json — capture the simulation-engine benchmarks (the columnar
-#              impulsive replication kernel and the churn-heavy engine) as
-#              BENCH_sim.json; bench-sim-cmp diffs a fresh run against the
-#              committed baseline, gating ns/op and allocs/op — the budget
-#              the statistical tiers spend (n >= 3200 sqrt2-law ensembles)
+#              impulsive replication kernel and the churn-heavy engine) at
+#              -cpu 1 as BENCH_sim.json, environment recorded; bench-sim-cmp
+#              diffs a fresh run against the committed baseline, gating
+#              ns/op and allocs/op — the budget the statistical tiers spend
+#              (n >= 3200 sqrt2-law ensembles) — and refuses (exit 2) a
+#              baseline from a different environment
 #   fuzz     — short adversarial-input fuzzing of the estimator and
 #              controller (checked-in corpora replay in plain `go test`)
 #   vet      — go vet plus cmd/vetenum, which proves every enum constant
@@ -131,8 +133,11 @@ bench-server-cmp:
 # kernel (the hot path behind every ensemble) and the churn-heavy engine
 # (arrival/departure/heap traffic). -count 4 because replication benches
 # are FP-throughput-bound and scheduler noise is one-sided: benchjson
-# collapses replicates to the fastest run.
-SIM_BENCH = $(GO) test -run '^$$' -bench 'BenchmarkImpulsiveReplication$$|BenchmarkEngineChurn' -benchtime 1s -count 4 -benchmem ./internal/sim
+# collapses replicates to the fastest run. -cpu 1 pins GOMAXPROCS, because
+# ImpulsiveReplication's allocs/op grow with the replication pool's worker
+# count; benchjson records it and bench-sim-cmp refuses a baseline taken
+# under a different GOMAXPROCS, CPU count or Go version.
+SIM_BENCH = $(GO) test -run '^$$' -bench 'BenchmarkImpulsiveReplication$$|BenchmarkEngineChurn' -benchtime 1s -count 4 -cpu 1 -benchmem ./internal/sim
 
 bench-sim-json:
 	$(SIM_BENCH) | $(GO) run ./cmd/benchjson -out BENCH_sim.json

@@ -23,6 +23,13 @@
 // when it doesn't: any increase fails, threshold notwithstanding.
 // Benchmarks present in only one file, or missing a selected metric, are
 // reported but never fail the comparison (the set is expected to grow).
+//
+// Capture mode records the environment next to the numbers: GOMAXPROCS
+// (from the benchmark names' -N suffix, 1 when there is none), and the
+// CPU count and Go version of benchjson's own process — `go run` builds it
+// with the same toolchain, on the same machine, as the benchmarks it
+// reads. Compare mode refuses (exit status 2) when both documents record
+// one of these and they differ, and warns when either lacks one.
 package main
 
 import (
@@ -33,6 +40,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,23 +59,28 @@ type Result struct {
 }
 
 // Doc is the JSON document: environment header plus name → result.
+// GoMaxProcs is zero when the input mixed several GOMAXPROCS values.
 type Doc struct {
 	GoOS       string            `json:"goos,omitempty"`
 	GoArch     string            `json:"goarch,omitempty"`
 	CPU        string            `json:"cpu,omitempty"`
+	GoMaxProcs int               `json:"gomaxprocs,omitempty"`
+	NumCPU     int               `json:"num_cpu,omitempty"`
+	GoVersion  string            `json:"go_version,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
-var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
+var gomaxprocsSuffix = regexp.MustCompile(`-(\d+)$`)
 
 // parse consumes `go test -bench` text output. Benchmark lines look like
 //
 //	BenchmarkName-8   123456   105.0 ns/op   12 B/op   0 allocs/op   64.00 flows/op
 //
-// with the -GOMAXPROCS suffix stripped so documents captured on machines
-// with different core counts stay comparable.
+// with the -GOMAXPROCS suffix stripped from the name and recorded in the
+// document header instead.
 func parse(r io.Reader) (*Doc, error) {
 	doc := &Doc{Benchmarks: map[string]Result{}}
+	procs := map[int]bool{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -110,6 +123,11 @@ func parse(r io.Reader) (*Doc, error) {
 				res.Allocs = v
 			}
 		}
+		p := 1 // go test omits the suffix at GOMAXPROCS=1
+		if m := gomaxprocsSuffix.FindStringSubmatch(fields[0]); m != nil {
+			p, _ = strconv.Atoi(m[1])
+		}
+		procs[p] = true
 		name := gomaxprocsSuffix.ReplaceAllString(fields[0], "")
 		// -count replicates collapse to the fastest run: on a shared or
 		// single-core machine the scheduler-noise tail is one-sided, so the
@@ -124,6 +142,11 @@ func parse(r io.Reader) (*Doc, error) {
 	}
 	if len(doc.Benchmarks) == 0 {
 		return nil, fmt.Errorf("benchjson: no benchmark lines found")
+	}
+	if len(procs) == 1 {
+		for p := range procs {
+			doc.GoMaxProcs = p
+		}
 	}
 	return doc, nil
 }
@@ -239,6 +262,62 @@ func compare(w io.Writer, old, new *Doc, threshold float64, metrics []string) bo
 	return failed
 }
 
+// checkEnv decides whether two documents may be compared. It returns an
+// error naming every environment field both record with different values,
+// and writes a warning to w for each field either one lacks.
+func checkEnv(w io.Writer, old, new *Doc) error {
+	itoa := func(n int) string {
+		if n == 0 {
+			return ""
+		}
+		return strconv.Itoa(n)
+	}
+	fields := []struct{ name, old, new string }{
+		{"gomaxprocs", itoa(old.GoMaxProcs), itoa(new.GoMaxProcs)},
+		{"num_cpu", itoa(old.NumCPU), itoa(new.NumCPU)},
+		{"go_version", old.GoVersion, new.GoVersion},
+	}
+	var diffs []string
+	for _, f := range fields {
+		switch {
+		case f.old == "":
+			fmt.Fprintf(w, "benchjson: warning: the baseline does not record %s\n", f.name)
+		case f.new == "":
+			fmt.Fprintf(w, "benchjson: warning: the new run does not record %s\n", f.name)
+		case f.old != f.new:
+			diffs = append(diffs, fmt.Sprintf("%s %s vs %s", f.name, f.old, f.new))
+		}
+	}
+	if len(diffs) > 0 {
+		return fmt.Errorf("refusing to compare runs from different environments: %s", strings.Join(diffs, ", "))
+	}
+	return nil
+}
+
+// runCmp is compare mode: it loads both documents and returns the exit
+// status — 0 on pass, 1 on a regression or a load error, 2 when the
+// environments differ.
+func runCmp(stdout, stderr io.Writer, oldPath, newPath string, threshold float64, metrics []string) int {
+	oldDoc, err := load(oldPath)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
+	}
+	newDoc, err := load(newPath)
+	if err != nil {
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
+	}
+	if err := checkEnv(stderr, oldDoc, newDoc); err != nil {
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 2
+	}
+	if compare(stdout, oldDoc, newDoc, threshold, metrics) {
+		return 1
+	}
+	return 0
+}
+
 func main() {
 	var (
 		in        = flag.String("in", "", "benchmark text input (default stdin)")
@@ -253,22 +332,11 @@ func main() {
 		if flag.NArg() != 2 {
 			fatal(fmt.Errorf("usage: benchjson -cmp old.json new.json"))
 		}
-		oldDoc, err := load(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		newDoc, err := load(flag.Arg(1))
-		if err != nil {
-			fatal(err)
-		}
 		metrics := strings.Split(*metric, ",")
 		for i := range metrics {
 			metrics[i] = strings.TrimSpace(metrics[i])
 		}
-		if compare(os.Stdout, oldDoc, newDoc, *threshold, metrics) {
-			os.Exit(1)
-		}
-		return
+		os.Exit(runCmp(os.Stdout, os.Stderr, flag.Arg(0), flag.Arg(1), *threshold, metrics))
 	}
 
 	var src io.Reader = os.Stdin
@@ -284,6 +352,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	doc.NumCPU, doc.GoVersion = runtime.NumCPU(), runtime.Version()
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fatal(err)

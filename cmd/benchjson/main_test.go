@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,6 +55,71 @@ BenchmarkX-8   100   250.0 ns/op   6.0 widgets/op
 	x := doc.Benchmarks["BenchmarkX"]
 	if x.NsPerOp != 200 || x.Metrics["widgets/op"] != 5 {
 		t.Fatalf("want the 200 ns/op replicate kept whole, got %+v", x)
+	}
+}
+
+// TestParseRecordsGOMAXPROCS: the -N suffix becomes the header's
+// gomaxprocs, no suffix means 1, and a mix of values records none.
+func TestParseRecordsGOMAXPROCS(t *testing.T) {
+	for in, want := range map[string]int{
+		"BenchmarkX-2 100 3.0 ns/op\nBenchmarkY-2 100 4.0 ns/op\n": 2,
+		"BenchmarkX 100 3.0 ns/op\n":                               1,
+		"BenchmarkX 100 3.0 ns/op\nBenchmarkY-8 100 4.0 ns/op\n":   0,
+	} {
+		doc, err := parse(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.GoMaxProcs != want {
+			t.Errorf("%q: gomaxprocs %d, want %d", in, doc.GoMaxProcs, want)
+		}
+	}
+}
+
+// TestCmpRefusesMismatchedEnv: compare mode exits 2, before printing any
+// table, when both documents record an environment field and it differs;
+// a baseline that lacks the fields only draws a warning.
+func TestCmpRefusesMismatchedEnv(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, d Doc) string {
+		t.Helper()
+		d.Benchmarks = map[string]Result{"BenchmarkX": {NsPerOp: 100}}
+		data, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base.json", Doc{GoMaxProcs: 1, NumCPU: 2, GoVersion: "go1.24.0"})
+	same := write("same.json", Doc{GoMaxProcs: 1, NumCPU: 2, GoVersion: "go1.24.0"})
+	procs := write("procs.json", Doc{GoMaxProcs: 2, NumCPU: 2, GoVersion: "go1.24.0"})
+	bare := write("bare.json", Doc{})
+
+	var out, errOut strings.Builder
+	if code := runCmp(&out, &errOut, base, procs, 20, []string{"ns/op"}); code != 2 {
+		t.Fatalf("mismatched gomaxprocs: exit %d, want 2 (stderr %q)", code, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "gomaxprocs 1 vs 2") || out.Len() != 0 {
+		t.Fatalf("refusal must name the field and print no table: stdout %q stderr %q", out.String(), errOut.String())
+	}
+
+	out.Reset()
+	errOut.Reset()
+	if code := runCmp(&out, &errOut, base, same, 20, []string{"ns/op"}); code != 0 || errOut.Len() != 0 {
+		t.Fatalf("same environment: exit %d, stderr %q", code, errOut.String())
+	}
+
+	out.Reset()
+	errOut.Reset()
+	if code := runCmp(&out, &errOut, bare, same, 20, []string{"ns/op"}); code != 0 {
+		t.Fatalf("unrecorded baseline: exit %d, want 0", code)
+	}
+	if !strings.Contains(errOut.String(), "baseline does not record gomaxprocs") {
+		t.Fatalf("unrecorded baseline must warn: %q", errOut.String())
 	}
 }
 

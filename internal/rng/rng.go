@@ -276,7 +276,7 @@ func logPos(x float64) float64 {
 	// picking the exponent, so the 50/50 split compiles to a flag
 	// materialization instead of an unpredictable branch — a taken-or-not
 	// coin flip per call would flush the pipeline and stall the
-	// interleaved lanes the columnar engine runs this under.
+	// independent draws the out-of-order window overlaps.
 	b := math.Float64bits(x)
 	m := b & 0x000FFFFFFFFFFFFF
 	var adj uint64
@@ -301,10 +301,10 @@ func logPos(x float64) float64 {
 // exponential sample with the given mean from p — the (rate, duration) pair
 // of one RCBR traffic segment, fused into a single call. It is exactly
 // TruncatedNormal(m, s, lo) then Exp(mean): same draws, same values. The
-// columnar lane kernel advances millions of segments per ensemble; fusing
-// the pair halves the call overhead per segment and gives the compiler one
+// columnar RCBR kernel draws one pair per expired flow per probe; fusing
+// the pair halves the call overhead per draw and gives the compiler one
 // scheduling region in which the normal's accept test and the logarithm can
-// overlap across lanes.
+// overlap across consecutive flows.
 func (p *PCG) SegmentSample(m, s, lo, mean float64) (x, d float64) {
 	b := p.Uint64()
 	i := b & (zigLayers - 1)
@@ -439,7 +439,7 @@ func (p *PCG) Gamma(shape, scale float64) float64 {
 func (p *PCG) TruncatedNormal(m, s, lo float64) float64 {
 	// Normal's ziggurat fast path, replicated here so the ~99% case runs
 	// one call deep instead of two (this is the rate draw of every RCBR
-	// segment in the columnar engine's lanes).
+	// segment on the scalar Source path).
 	b := p.Uint64()
 	i := b & (zigLayers - 1)
 	z := float64(int64(b>>11)) * zigXS[i]

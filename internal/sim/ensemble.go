@@ -30,10 +30,12 @@ type ImpulsiveConfig struct {
 	Replications int
 	Seed         uint64
 
-	// Scalar forces the per-flow Source path even when the model supports
-	// the columnar engine (traffic.ColumnModel). The two paths are
-	// bit-identical by contract — Scalar exists for differential testing
-	// and debugging, the same pattern as the gateway's DisableFastPath.
+	// Scalar selects the per-segment reference path — per-flow Sources
+	// walking every segment with Next — even when the model supports the
+	// columnar engine (traffic.ColumnModel). The columnar engine agrees
+	// with it bit for bit or, for ExpSegments models, in law (see
+	// runOneImpulseColumnar). It stays exported because
+	// perfbench/decorate_test.go sets it.
 	Scalar bool
 }
 
@@ -395,22 +397,27 @@ func runOneImpulse(cfg ImpulsiveConfig, r *rng.PCG, pfAt []stats.Counter, sc *im
 // runOneImpulseColumnar is runOneImpulse on the columnar engine: flow state
 // lives in parallel columns (traffic.Columns) instead of per-flow Source
 // objects, segment redraws land straight into the columns through the
-// model's lane-interleaved AdvanceColumn, and the eq.-7 estimate folds the
-// rate column in one batched call. Bit-identity with the scalar path holds
-// step by step:
+// model's AdvanceColumn, and the eq.-7 estimate folds the rate column in
+// one batched call. Up to the first probe it is draw-identical to the
+// scalar path:
 //
 //   - the per-flow substreams carry the same tags, and splitting them all
 //     before the first-segment draws reorders only draws on *different*
 //     streams (scalar interleaves split_i with flow i's draws);
 //   - the master-stream draw order is preserved exactly — for extra flows
 //     beyond MeasureCount, split_i and departs_i stay interleaved per flow;
-//   - per probe time, compacting departed flows first reproduces the scalar
-//     loop's swap-to-tail sequence (which depends only on departure times),
-//     and the surviving flows' advances commute because each flow draws
-//     from its own substream; the aggregate then folds in index order over
-//     exactly the arrangement the scalar loop summed.
 //
-// TestImpulsiveColumnarMatchesScalar pins the equivalence end to end.
+// so M0 and the departure times are bit-identical. Per probe time,
+// compacting departed flows first reproduces the scalar loop's
+// swap-to-tail sequence (which depends only on departure times), the
+// surviving flows' advances commute because each flow draws from its own
+// substream, and the aggregate folds in index order over exactly the
+// arrangement the scalar loop summed. So the overflow counts are
+// bit-identical wherever AdvanceColumn replays the Next walk (CBR, on/off),
+// and equal in law where it samples the state at the probe directly
+// (RCBR, including inside a mixture).
+//
+// TestImpulsiveColumnarMatchesScalar pins both forms end to end.
 func runOneImpulseColumnar(cfg ImpulsiveConfig, cm traffic.ColumnModel, r *rng.PCG, pfAt []stats.Counter, sc *impulseScratch) int {
 	c := &sc.cols
 	n := cfg.MeasureCount
@@ -466,7 +473,7 @@ func runOneImpulseColumnar(cfg ImpulsiveConfig, cm traffic.ColumnModel, r *rng.P
 	}
 
 	// Probe the aggregate at each grid time: compact departures to the
-	// tail, advance the survivors in lanes, fold the rate column.
+	// tail, advance the survivors, fold the rate column.
 	alive := m0
 	for gi, t := range cfg.Grid {
 		for i := 0; i < alive; {

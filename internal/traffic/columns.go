@@ -1,20 +1,19 @@
 // Columnar (struct-of-arrays) flow state. The ensemble engines advance
 // thousands of independent flows per replication; with one Source object per
-// flow every segment draw pays an interface dispatch, and — worse — each
-// flow's draw chain (normal → log → compare → next draw) is serially
-// dependent, so the CPU idles on the ~70-cycle log latency. Laying the flow
-// state out in parallel columns lets a model advance several flows in
-// interleaved lanes: the lanes' draw chains are independent (each flow owns
-// its RNG substream), so the out-of-order window overlaps their logs and the
-// per-segment cost drops from the latency of one chain to the throughput of
-// many.
+// flow every segment draw pays an interface dispatch and every flow is a
+// separate heap object. Laying the flow state out in parallel columns lets a
+// model initialize and advance a whole batch of flows in one call, with each
+// flow's draws coming from its own RNG substream.
 //
-// Bit-identity contract: for every model, InitColumn and AdvanceColumn
-// consume exactly the draws that Model.New and Source.Next would consume
-// from each flow's substream, and produce the same (rate, segment-end)
-// values. Interleaving is safe because no draws cross flows. The
-// differential tests in columns_test.go and the engine-level test in
-// internal/sim pin this equivalence per model.
+// Contract: InitColumn is draw-identical to Model.New followed by the first
+// Source.Next — it consumes exactly those draws from each flow's substream
+// and produces the same (rate, segment-end) values. AdvanceColumn is
+// draw-identical to the scalar Next walk for models without ExpSegments
+// (constant, on/off), and equal in law for ExpSegments models (RCBR, also as
+// a mixture component), whose kernel samples each flow's state at the probe
+// directly instead of walking the segments in between. The tests in
+// columns_test.go pin both forms per model, and the engine-level
+// differential in internal/sim pins them end to end.
 package traffic
 
 import (
@@ -72,22 +71,23 @@ func growCol[T any](s []T, n int) []T {
 // ColumnModel is an optional Model capability: a model that can initialize
 // and advance flows directly in Columns, with no per-flow Source object.
 //
-// Both methods must consume, per flow, exactly the substream draws that
-// Model.New followed by Source.Next calls would consume, and leave the same
-// rate/segment-end values — the columnar engines rely on this to be
-// bit-identical to the scalar path. Draws always come from the flow's own
-// c.Str slot, never from a shared stream, so flows may be processed in any
-// order and in interleaved lanes.
+// Draws always come from the flow's own c.Str slot, never from a shared
+// stream, so flows may be processed in any order.
 type ColumnModel interface {
 	Model
 	// InitColumn performs the construction-time draws and the first-segment
 	// draw for flows [lo, hi): afterwards Rate[i] and End[i] describe flow
 	// i's first segment (End relative to a start at time zero) and any
-	// model state is recorded in State[i]/Aux[i].
+	// model state is recorded in State[i]/Aux[i]. It consumes, per flow,
+	// exactly the substream draws Model.New and one Source.Next would, and
+	// leaves the same values.
 	InitColumn(c *Columns, lo, hi int)
-	// AdvanceColumn advances every flow i in [0, n) with End[i] <= t
-	// through successive segments until End[i] > t, exactly as the scalar
-	// loop `for segEnd <= t { seg := src.Next(); ... }` would.
+	// AdvanceColumn brings every flow i in [0, n) with End[i] <= t to a
+	// segment covering t (End[i] > t), leaving flows with End[i] > t
+	// untouched. For a flow whose model (a mixture's component, for a
+	// mixture) declares ExpSegments the result is equal in law to the
+	// scalar loop `for segEnd <= t { seg := src.Next(); ... }`; otherwise
+	// it is that loop, draw for draw.
 	AdvanceColumn(c *Columns, n int, t float64)
 }
 
@@ -118,26 +118,31 @@ func ColumnModelOf(m Model) (ColumnModel, bool) {
 // RCBR columnar kernel.
 
 // InitColumn implements ColumnModel: per flow, the same (truncated-normal
-// rate, exponential duration) pair New+Next would draw. Setting End to zero
-// and advancing to t = 0 reproduces exactly that one draw pair, because
-// exponential durations are strictly positive.
-//
-// The heavy lifting is rng.SegmentAdvance, the batched renewal-chain
-// sampler: it interleaves several flows' draw chains in lanes (each flow
-// owns its substream, so chains are independent and their log latencies
-// overlap) with the whole per-segment path inlined into one loop body. A
-// flow's own draw order (rate, then duration, segment by segment) is
-// untouched, which is what bit-identity requires.
+// rate, exponential duration) pair New+Next would draw.
 func (m RCBR) InitColumn(c *Columns, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		c.End[i] = 0
+		c.Rate[i], c.End[i] = c.Str[i].SegmentSample(m.Mean, m.Sigma, 0, m.CorrTime)
 	}
-	rng.SegmentAdvance(c.Str, c.Rate, c.End, lo, hi, m.Mean, m.Sigma, 0, m.CorrTime, 0)
 }
 
-// AdvanceColumn implements ColumnModel.
+// AdvanceColumn implements ColumnModel by sampling each expired flow's
+// state at t directly: one (rate, duration) pair, with the segment taken
+// to start at t. This is exact in law (ExpSegments): the renegotiation
+// epochs form a Poisson process, so a flow whose segment ended at or
+// before t carries at t a fresh draw from the rate marginal, independent
+// of its past, and its residual time to the next epoch is Exp(CorrTime)
+// by memorylessness. The scalar Next walk draws every segment in between
+// and reaches the same law along a different stream, so this path is not
+// draw-identical to it.
 func (m RCBR) AdvanceColumn(c *Columns, n int, t float64) {
-	rng.SegmentAdvance(c.Str, c.Rate, c.End, 0, n, m.Mean, m.Sigma, 0, m.CorrTime, t)
+	str, rate, end := c.Str[:n], c.Rate[:n], c.End[:n]
+	for i := range end {
+		if end[i] > t {
+			continue
+		}
+		x, d := str[i].SegmentSample(m.Mean, m.Sigma, 0, m.CorrTime)
+		rate[i], end[i] = x, t+d
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -246,7 +251,9 @@ func (m *Mixture) InitColumn(c *Columns, lo, hi int) {
 	}
 }
 
-// AdvanceColumn implements ColumnModel.
+// AdvanceColumn implements ColumnModel: each expired flow advances through
+// its component's kernel, so RCBR components skip ahead in law and the
+// others replay their Next walk.
 func (m *Mixture) AdvanceColumn(c *Columns, n int, t float64) {
 	for i := 0; i < n; i++ {
 		if c.End[i] > t {
