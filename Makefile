@@ -24,10 +24,9 @@
 #              baseline from a different environment
 #   fuzz     — short adversarial-input fuzzing of the estimator and
 #              controller (checked-in corpora replay in plain `go test`)
-#   vet      — go vet plus cmd/vetenum, which proves every enum constant
-#              (gateway.Reason, gateway.DegradedPolicy, fault.Mode) has an
-#              explicit String() case — the fallback "Reason(%d)" form would
-#              silently leak into logs, goldens, and ParseReason round-trips
+#   vet      — gofmt and go vet (enum name completeness is not here: each
+#              enum's internal/enum table panics at package init on an
+#              unnamed or duplicate constant, so every test binary checks it)
 #   chaos    — fault-injection soaks (build tag "chaos") under -race:
 #              estimator NaN/Inf bursts, stalled ticks, leaked clients; ends
 #              with bench-cmp so the lifecycle/degradation machinery is also
@@ -104,8 +103,11 @@ bench:
 # Serving-path benchmark baseline: the Gateway benchmarks captured as JSON.
 # `make bench-json` refreshes BENCH_gateway.json in place (commit the
 # change when a perf PR moves the numbers); `make bench-cmp` measures
-# without overwriting and diffs against the committed baseline.
-GATEWAY_BENCH = $(GO) test -run '^$$' -bench 'BenchmarkGateway' -benchtime 2s -benchmem .
+# without overwriting and diffs against the committed baseline. -cpu 1
+# pins GOMAXPROCS so the baseline and a fresh run compare like with like;
+# benchjson records it and bench-cmp refuses a baseline taken under a
+# different GOMAXPROCS, CPU count or Go version.
+GATEWAY_BENCH = $(GO) test -run '^$$' -bench 'BenchmarkGateway' -benchtime 2s -cpu 1 -benchmem .
 
 bench-json:
 	$(GATEWAY_BENCH) | $(GO) run ./cmd/benchjson -out BENCH_gateway.json
@@ -119,8 +121,9 @@ bench-cmp:
 # ns/op measures the whole 128-frame pipeline, not the budget).
 # -count 3 because the loopback round trip is scheduler-bound: benchjson
 # collapses replicates to the fastest run, the stable estimator on a
-# shared machine.
-SERVER_BENCH = $(GO) test -run '^$$' -bench 'BenchmarkServerAdmit' -benchtime 2s -count 3 -benchmem ./internal/server
+# shared machine. -cpu 1 pins GOMAXPROCS, as for the gateway and sim
+# baselines.
+SERVER_BENCH = $(GO) test -run '^$$' -bench 'BenchmarkServerAdmit' -benchtime 2s -count 3 -cpu 1 -benchmem ./internal/server
 
 bench-server-json:
 	$(SERVER_BENCH) | $(GO) run ./cmd/benchjson -out BENCH_server.json
@@ -161,19 +164,12 @@ golden:
 	$(GO) test ./internal/scenario -run TestGoldenScenarioReports -update-golden
 
 # Static tier: gofmt (any file it would rewrite fails the tier; hidden
-# directories such as the benchmark's build cache are skipped), the
-# standard vet pass, and the repo-local enum/String exhaustiveness check.
+# directories such as the benchmark's build cache are skipped) and the
+# standard vet pass.
 vet:
 	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/vetenum -dir internal/gateway -type Reason,DegradedPolicy
-	$(GO) run ./cmd/vetenum -dir internal/fault -type Mode
-	$(GO) run ./cmd/vetenum -dir internal/wire -type Op,Status,Refusal
-	$(GO) run ./cmd/vetenum -dir internal/scenario -type Verdict,HypothesisKind,InvariantKind,Metric,Relation,IntervalMode
-	$(GO) run ./cmd/vetenum -dir internal/cluster -type PlacementPolicy,InstanceState
-	$(GO) run ./cmd/vetenum -dir internal/theory -type Regime
-	$(GO) run ./cmd/vetenum -dir internal/estimator -type Mode
 
 # Chaos tier: seeded fault-injection soaks under the race detector, then
 # the serving-path perf guard — leases and degradation must not tax the

@@ -145,45 +145,20 @@ func main() {
 	if err := plan.Validate(); err != nil {
 		fatal(err)
 	}
-	newEstimator := func() estimator.Estimator {
-		if *estMode == "" {
-			// Legacy behavior: -tm selects the filter.
-			if *tm > 0 {
-				return estimator.NewExponential(*tm)
-			}
-			return estimator.NewMemoryless()
-		}
-		mode, err := estimator.ParseMode(*estMode)
-		if err != nil {
+	// Without -estimator, -tm alone selects the filter (the legacy flags).
+	estKind := estimator.ModeMemoryless
+	if *tm > 0 {
+		estKind = estimator.ModeExponential
+	}
+	if *estMode != "" {
+		if estKind, err = estimator.ParseMode(*estMode); err != nil {
 			fatal(err)
 		}
-		switch mode {
-		case estimator.ModeMemoryless:
-			return estimator.NewMemoryless()
-		case estimator.ModeExponential:
-			if *tm <= 0 {
-				fatal(fmt.Errorf("-estimator exponential requires -tm > 0"))
-			}
-			return estimator.NewExponential(*tm)
-		case estimator.ModeWindow:
-			if *tm <= 0 {
-				fatal(fmt.Errorf("-estimator window requires -tm > 0"))
-			}
-			return estimator.NewWindow(*tm)
-		case estimator.ModeAggregate:
-			// The variance memory T_v is structural: long enough to see
-			// fluctuation across ticks, short enough to track load shifts.
-			tv := *tm
-			if tv <= 0 {
-				tv = 8 * *tick
-			}
-			return estimator.NewAggregateOnly(*tm, tv)
-		case estimator.ModeOracle:
-			return &estimator.Oracle{Mu: 1, Sigma: *svr}
+		if (estKind == estimator.ModeExponential || estKind == estimator.ModeWindow) && *tm <= 0 {
+			fatal(fmt.Errorf("-estimator %s requires -tm > 0", estKind))
 		}
-		fatal(fmt.Errorf("unhandled estimator mode %q", *estMode))
-		return nil
 	}
+	newEstimator := func() estimator.Estimator { return estimator.New(estKind, *tm, *tick, 1, *svr) }
 	// Each gateway instance gets its own time-scale controller: the
 	// controller's ACF ring and EWMA state are per-instance measurements.
 	var tuners []*adaptive.Controller

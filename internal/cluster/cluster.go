@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/enum"
 	"repro/internal/gateway"
 )
 
@@ -62,31 +63,21 @@ const (
 	// PlaceRoundRobin: rotate over the eligible instances, ignoring
 	// headroom.
 	PlaceRoundRobin
+	placementEnd
 )
 
+var placementNames = enum.New(map[PlacementPolicy]string{
+	PlaceLeastLoaded: "least-loaded",
+	PlaceWeighted:    "weighted",
+	PlaceRoundRobin:  "round-robin",
+}, placementEnd)
+
 // String implements fmt.Stringer.
-func (p PlacementPolicy) String() string {
-	switch p {
-	case PlaceLeastLoaded:
-		return "least-loaded"
-	case PlaceWeighted:
-		return "weighted"
-	case PlaceRoundRobin:
-		return "round-robin"
-	}
-	return fmt.Sprintf("PlacementPolicy(%d)", int(p))
-}
+func (p PlacementPolicy) String() string { return placementNames.String(p) }
 
 // ParsePlacementPolicy is the inverse of PlacementPolicy.String, for CLI
 // flags and scenario configs.
-func ParsePlacementPolicy(s string) (PlacementPolicy, error) {
-	for p := PlaceLeastLoaded; p <= PlaceRoundRobin; p++ {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("cluster: unknown placement policy %q (want least-loaded, weighted or round-robin)", s)
-}
+func ParsePlacementPolicy(s string) (PlacementPolicy, error) { return placementNames.Parse(s) }
 
 // InstanceState is an instance's routing state: active instances receive
 // new placements, draining ones only serve their remaining pinned flows.
@@ -98,28 +89,16 @@ const (
 	// StateDraining: no new placements; pinned flows are migrated away or
 	// allowed to depart/lease-expire.
 	StateDraining
+	stateEnd
 )
 
-// String implements fmt.Stringer.
-func (s InstanceState) String() string {
-	switch s {
-	case StateActive:
-		return "active"
-	case StateDraining:
-		return "draining"
-	}
-	return fmt.Sprintf("InstanceState(%d)", int(s))
-}
+var stateNames = enum.New(map[InstanceState]string{
+	StateActive:   "active",
+	StateDraining: "draining",
+}, stateEnd)
 
-// ParseInstanceState is the inverse of InstanceState.String.
-func ParseInstanceState(s string) (InstanceState, error) {
-	for st := StateActive; st <= StateDraining; st++ {
-		if st.String() == s {
-			return st, nil
-		}
-	}
-	return 0, fmt.Errorf("cluster: unknown instance state %q (want active or draining)", s)
-}
+// String implements fmt.Stringer.
+func (s InstanceState) String() string { return stateNames.String(s) }
 
 // Config parameterizes a Cluster.
 type Config struct {
@@ -228,7 +207,7 @@ func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Instances) == 0 {
 		return nil, fmt.Errorf("cluster: at least one instance is required")
 	}
-	if cfg.Policy < PlaceLeastLoaded || cfg.Policy > PlaceRoundRobin {
+	if !placementNames.Valid(cfg.Policy) {
 		return nil, fmt.Errorf("cluster: unknown placement policy %d", int(cfg.Policy))
 	}
 	if cfg.Warmup < 0 {

@@ -51,7 +51,7 @@ func newTestCluster(tb testing.TB, n int, capacity float64, cfg Config) *Cluster
 }
 
 func TestEnumRoundTrips(t *testing.T) {
-	for p := PlaceLeastLoaded; p <= PlaceRoundRobin; p++ {
+	for p := PlaceLeastLoaded; p < placementEnd; p++ {
 		got, err := ParsePlacementPolicy(p.String())
 		if err != nil || got != p {
 			t.Errorf("ParsePlacementPolicy(%q) = %v, %v", p.String(), got, err)
@@ -60,14 +60,14 @@ func TestEnumRoundTrips(t *testing.T) {
 	if _, err := ParsePlacementPolicy("bogus"); err == nil {
 		t.Error("ParsePlacementPolicy accepted bogus input")
 	}
-	for s := StateActive; s <= StateDraining; s++ {
-		got, err := ParseInstanceState(s.String())
+	for s := StateActive; s < stateEnd; s++ {
+		got, err := stateNames.Parse(s.String())
 		if err != nil || got != s {
-			t.Errorf("ParseInstanceState(%q) = %v, %v", s.String(), got, err)
+			t.Errorf("stateNames.Parse(%q) = %v, %v", s.String(), got, err)
 		}
 	}
-	if _, err := ParseInstanceState("bogus"); err == nil {
-		t.Error("ParseInstanceState accepted bogus input")
+	if _, err := stateNames.Parse("bogus"); err == nil {
+		t.Error("stateNames.Parse accepted bogus input")
 	}
 }
 

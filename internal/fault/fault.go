@@ -13,10 +13,10 @@
 package fault
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 
+	"repro/internal/enum"
 	"repro/internal/estimator"
 )
 
@@ -37,34 +37,23 @@ const (
 	// DropUpdates silently discards Update calls (the measurement stream
 	// goes dark) while Estimate keeps serving the stale filter state.
 	DropUpdates
+	modeEnd
 )
 
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case None:
-		return "none"
-	case NaNEstimates:
-		return "nan"
-	case InfEstimates:
-		return "inf"
-	case NotOK:
-		return "notok"
-	case DropUpdates:
-		return "drop"
-	}
-	return fmt.Sprintf("Mode(%d)", int32(m))
-}
+var modeNames = enum.New(map[Mode]string{
+	None:         "none",
+	NaNEstimates: "nan",
+	InfEstimates: "inf",
+	NotOK:        "notok",
+	DropUpdates:  "drop",
+}, modeEnd)
 
-// ParseMode is the inverse of Mode.String, for CLI flags.
-func ParseMode(s string) (Mode, error) {
-	for m := None; m <= DropUpdates; m++ {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("fault: unknown mode %q (want none, nan, inf, notok or drop)", s)
-}
+// String implements fmt.Stringer.
+func (m Mode) String() string { return modeNames.String(m) }
+
+// ParseMode is the inverse of Mode.String, for CLI flags and scenario
+// configs.
+func ParseMode(s string) (Mode, error) { return modeNames.Parse(s) }
 
 // Estimator wraps a real estimator.Estimator with injectable faults. The
 // estimator protocol itself stays single-threaded (the gateway drives it

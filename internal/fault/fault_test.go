@@ -9,7 +9,7 @@ import (
 )
 
 func TestModeStringRoundTrip(t *testing.T) {
-	for m := None; m <= DropUpdates; m++ {
+	for m := None; m < modeEnd; m++ {
 		got, err := ParseMode(m.String())
 		if err != nil {
 			t.Fatalf("ParseMode(%q): %v", m.String(), err)

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/enum"
 	"repro/internal/estimator"
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -73,34 +74,19 @@ const (
 	// appears in an admission Decision; it classifies lease-sweep
 	// departures in stats and metrics.
 	ReasonExpired
+	reasonEnd
 )
 
-// String implements fmt.Stringer.
-func (r Reason) String() string {
-	switch r {
-	case ReasonAdmitted:
-		return "admitted"
-	case ReasonCapacity:
-		return "capacity"
-	case ReasonInvalidRate:
-		return "invalid-rate"
-	case ReasonDuplicate:
-		return "duplicate"
-	case ReasonExpired:
-		return "expired"
-	}
-	return fmt.Sprintf("Reason(%d)", int(r))
-}
+var reasonNames = enum.New(map[Reason]string{
+	ReasonAdmitted:    "admitted",
+	ReasonCapacity:    "capacity",
+	ReasonInvalidRate: "invalid-rate",
+	ReasonDuplicate:   "duplicate",
+	ReasonExpired:     "expired",
+}, reasonEnd)
 
-// ParseReason is the inverse of Reason.String, for CLI and replay tooling.
-func ParseReason(s string) (Reason, error) {
-	for r := ReasonAdmitted; r <= ReasonExpired; r++ {
-		if r.String() == s {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("gateway: unknown reason %q", s)
-}
+// String implements fmt.Stringer.
+func (r Reason) String() string { return reasonNames.String(r) }
 
 // DegradedPolicy selects how the gateway admits while its measurement
 // pipeline is unhealthy (stale ticks, or estimates that stay invalid with
@@ -120,31 +106,21 @@ const (
 	DegradedPeakRate
 	// DegradedRejectAll: admit nothing until measurement recovers.
 	DegradedRejectAll
+	degradedEnd
 )
 
+var degradedNames = enum.New(map[DegradedPolicy]string{
+	DegradedFreeze:    "freeze",
+	DegradedPeakRate:  "peak-rate",
+	DegradedRejectAll: "reject-all",
+}, degradedEnd)
+
 // String implements fmt.Stringer.
-func (p DegradedPolicy) String() string {
-	switch p {
-	case DegradedFreeze:
-		return "freeze"
-	case DegradedPeakRate:
-		return "peak-rate"
-	case DegradedRejectAll:
-		return "reject-all"
-	}
-	return fmt.Sprintf("DegradedPolicy(%d)", int(p))
-}
+func (p DegradedPolicy) String() string { return degradedNames.String(p) }
 
 // ParseDegradedPolicy is the inverse of DegradedPolicy.String, for CLI
-// flags.
-func ParseDegradedPolicy(s string) (DegradedPolicy, error) {
-	for p := DegradedFreeze; p <= DegradedRejectAll; p++ {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("gateway: unknown degraded policy %q (want freeze, peak-rate or reject-all)", s)
-}
+// flags and scenario configs.
+func ParseDegradedPolicy(s string) (DegradedPolicy, error) { return degradedNames.Parse(s) }
 
 // Degradation causes, kept as a bitmask so both faults can hold at once.
 const (
@@ -432,7 +408,7 @@ func New(cfg Config) (*Gateway, error) {
 	if math.IsNaN(cfg.FlowTTL) || math.IsInf(cfg.FlowTTL, 0) || cfg.FlowTTL < 0 {
 		return nil, fmt.Errorf("gateway: flow TTL %g must be a non-negative finite duration", cfg.FlowTTL)
 	}
-	if cfg.Degraded < DegradedFreeze || cfg.Degraded > DegradedRejectAll {
+	if !degradedNames.Valid(cfg.Degraded) {
 		return nil, fmt.Errorf("gateway: unknown degraded policy %d", int(cfg.Degraded))
 	}
 	if cfg.StaleAfter < 0 {

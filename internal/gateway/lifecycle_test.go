@@ -187,7 +187,7 @@ func TestAdmitErrorDecisions(t *testing.T) {
 // that parses back to itself.
 func TestReasonRoundTrip(t *testing.T) {
 	seen := map[string]bool{}
-	for r := ReasonAdmitted; r <= ReasonExpired; r++ {
+	for r := ReasonAdmitted; r < reasonEnd; r++ {
 		s := r.String()
 		if strings.HasPrefix(s, "Reason(") {
 			t.Fatalf("reason %d has no String case", int(r))
@@ -196,13 +196,13 @@ func TestReasonRoundTrip(t *testing.T) {
 			t.Fatalf("duplicate reason string %q", s)
 		}
 		seen[s] = true
-		back, err := ParseReason(s)
+		back, err := reasonNames.Parse(s)
 		if err != nil || back != r {
-			t.Fatalf("ParseReason(%q) = (%v, %v), want %v", s, back, err, r)
+			t.Fatalf("reasonNames.Parse(%q) = (%v, %v), want %v", s, back, err, r)
 		}
 	}
-	if _, err := ParseReason("nope"); err == nil {
-		t.Fatal("ParseReason accepted nonsense")
+	if _, err := reasonNames.Parse("nope"); err == nil {
+		t.Fatal("reasonNames.Parse accepted nonsense")
 	}
 	if Reason(99).String() != "Reason(99)" {
 		t.Fatalf("out-of-range String = %q", Reason(99).String())
@@ -211,7 +211,7 @@ func TestReasonRoundTrip(t *testing.T) {
 
 // TestDegradedPolicyRoundTrip mirrors TestReasonRoundTrip for policies.
 func TestDegradedPolicyRoundTrip(t *testing.T) {
-	for p := DegradedFreeze; p <= DegradedRejectAll; p++ {
+	for p := DegradedFreeze; p < degradedEnd; p++ {
 		back, err := ParseDegradedPolicy(p.String())
 		if err != nil || back != p {
 			t.Fatalf("ParseDegradedPolicy(%q) = (%v, %v), want %v", p.String(), back, err, p)

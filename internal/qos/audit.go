@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/enum"
 	"repro/internal/gauss"
 	"repro/internal/stats"
 )
@@ -43,41 +44,30 @@ const (
 	// model assumes a live measurement loop, and a degraded gateway is
 	// outside it. Takes precedence over every statistical verdict.
 	VerdictDegraded
+	verdictEnd
 )
 
+var verdictNames = enum.New(map[Verdict]string{
+	VerdictInsufficient:     "insufficient",
+	VerdictOK:               "ok",
+	VerdictViolatesTarget:   "violates-target",
+	VerdictViolatesSqrt2Law: "violates-sqrt2-law",
+	VerdictDegraded:         "degraded",
+}, verdictEnd)
+
 // String implements fmt.Stringer.
-func (v Verdict) String() string {
-	switch v {
-	case VerdictInsufficient:
-		return "insufficient"
-	case VerdictOK:
-		return "ok"
-	case VerdictViolatesTarget:
-		return "violates-target"
-	case VerdictViolatesSqrt2Law:
-		return "violates-sqrt2-law"
-	case VerdictDegraded:
-		return "degraded"
-	}
-	return fmt.Sprintf("Verdict(%d)", int(v))
-}
+func (v Verdict) String() string { return verdictNames.String(v) }
 
 // MarshalJSON encodes the verdict as its string form, keeping audit
 // payloads and goldens readable.
-func (v Verdict) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + v.String() + `"`), nil
-}
+func (v Verdict) MarshalJSON() ([]byte, error) { return verdictNames.Marshal(v) }
+
+// UnmarshalJSON decodes the string form.
+func (v *Verdict) UnmarshalJSON(b []byte) error { return verdictNames.Unmarshal(b, v) }
 
 // ParseVerdict is the inverse of Verdict.String, for scenario configs and
 // replay tooling that state an expected audit verdict by name.
-func ParseVerdict(s string) (Verdict, error) {
-	for v := VerdictInsufficient; v <= VerdictDegraded; v++ {
-		if v.String() == s {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("qos: unknown verdict %q", s)
-}
+func ParseVerdict(s string) (Verdict, error) { return verdictNames.Parse(s) }
 
 // AuditConfig parameterizes an Audit.
 type AuditConfig struct {

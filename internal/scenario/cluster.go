@@ -38,12 +38,6 @@ func runClusterCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (Cel
 		return CellResult{}, err
 	}
 	ts := model.Stats()
-	dp := gw.DegradedFreeze
-	if arm.Degraded != "" {
-		if dp, err = gw.ParseDegradedPolicy(arm.Degraded); err != nil {
-			return CellResult{}, err
-		}
-	}
 
 	// Drain past the schedule so leases expire and every lifecycle closes.
 	drain := 2
@@ -56,12 +50,8 @@ func runClusterCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (Cel
 		overflowWindow = totalTicks
 	}
 
-	policy, err := cluster.ParsePlacementPolicy(spec.Policy)
-	if err != nil {
-		return CellResult{}, err
-	}
 	ccfg := cluster.Config{
-		Policy:     policy,
+		Policy:     spec.policy,
 		Warmup:     spec.Warmup,
 		Hysteresis: spec.Hysteresis,
 	}
@@ -91,7 +81,7 @@ func runClusterCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (Cel
 			OverflowWindow: overflowWindow,
 			FlowTTL:        cfg.Gateway.FlowTTL,
 			StaleAfter:     cfg.Gateway.StaleAfter,
-			Degraded:       dp,
+			Degraded:       arm.degraded,
 		}
 		if tuner != nil {
 			icfg.Tuner = tuner

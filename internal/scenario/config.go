@@ -8,7 +8,9 @@ import (
 	"os"
 
 	"repro/internal/cluster"
+	"repro/internal/estimator"
 	"repro/internal/fault"
+	gw "repro/internal/gateway"
 	"repro/internal/qos"
 )
 
@@ -49,6 +51,8 @@ type Config struct {
 	Faults []FaultWindow `json:"faults,omitempty"`
 
 	Check Hypothesis `json:"check"`
+
+	faults []fault.Window // Faults, resolved and sorted by Validate
 }
 
 // Workload describes the offered load.
@@ -164,6 +168,8 @@ type Gateway struct {
 	FlowTTL        float64 `json:"flow_ttl,omitempty"`
 	StaleAfter     int     `json:"stale_after,omitempty"`
 	OverflowWindow int     `json:"overflow_window,omitempty"`
+
+	mode estimator.Mode // Estimator, resolved by validate
 }
 
 // ClusterSpec replaces the single cell gateway with a fleet: Instances
@@ -189,6 +195,8 @@ type ClusterSpec struct {
 	// the rest of the fleet.
 	DrainAt       float64 `json:"drain_at,omitempty"`
 	DrainInstance int     `json:"drain_instance,omitempty"`
+
+	policy cluster.PlacementPolicy // Policy, resolved by validate
 }
 
 // Arm is one point of the varied variable: an admission policy plus the
@@ -215,6 +223,10 @@ type Arm struct {
 	Estimator string  `json:"estimator,omitempty"`
 	Memory    float64 `json:"memory,omitempty"`
 	Adaptive  *bool   `json:"adaptive,omitempty"`
+
+	// Degraded and Estimator, resolved by validate.
+	degraded gw.DegradedPolicy
+	mode     estimator.Mode
 }
 
 // FaultWindow is the JSON form of fault.Window: a fault mode ("nan",
@@ -264,6 +276,8 @@ type Interval struct {
 	// the steady state after a warmup (or after a mid-run model shift),
 	// not the transient. Requires a churn workload.
 	GradeAfter float64 `json:"grade_after,omitempty"`
+
+	wantQoS qos.Verdict // QoSVerdict, resolved by validate
 }
 
 // Invariant asserts each named predicate over every cell.
@@ -398,7 +412,7 @@ func (c *Config) Validate() error {
 		// inherited window estimator is checked against window's rules.
 		eff := c.effectiveGateway(c.Arms[i])
 		if c.Arms[i].Estimator != "" || c.Arms[i].Memory != 0 {
-			if err := validateEstimatorSpec(path, eff.Estimator, eff.Memory); err != nil {
+			if err := validateMemory(path, eff.mode, eff.Memory); err != nil {
 				return err
 			}
 		}
@@ -406,10 +420,11 @@ func (c *Config) Validate() error {
 			if c.Workload.Kind != WorkloadChurn {
 				return fmt.Errorf("scenario: %s: adaptive measurement requires a churn workload", path)
 			}
-			switch eff.Estimator {
-			case "exponential", "window", "aggregate":
+			switch eff.mode {
+			case estimator.ModeExponential, estimator.ModeWindow, estimator.ModeAggregate:
 			default:
-				return fmt.Errorf("scenario: %s: adaptive measurement requires a retunable estimator (exponential, window or aggregate), not %q", path, eff.Estimator)
+				return fmt.Errorf("scenario: %s: adaptive measurement requires a retunable estimator (%s, %s or %s), not %q",
+					path, estimator.ModeExponential, estimator.ModeWindow, estimator.ModeAggregate, eff.Estimator)
 			}
 		}
 	}
@@ -424,6 +439,7 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("scenario: gateway.th: only valid with adaptive measurement on the gateway or an arm")
 		}
 	}
+	c.faults = nil
 	if len(c.Faults) > 0 {
 		if c.Workload.Kind != WorkloadChurn {
 			return fmt.Errorf("scenario: faults: fault windows require a churn workload")
@@ -439,6 +455,7 @@ func (c *Config) Validate() error {
 		if err := fault.ValidateWindows(ws); err != nil {
 			return fmt.Errorf("scenario: faults: %w", err)
 		}
+		c.faults = ws
 	}
 	if c.Cluster != nil {
 		if err := c.Cluster.validate(c); err != nil {
@@ -464,7 +481,8 @@ func (s *ClusterSpec) validate(c *Config) error {
 	if s.Policy == "" {
 		s.Policy = cluster.PlaceLeastLoaded.String()
 	}
-	if _, err := cluster.ParsePlacementPolicy(s.Policy); err != nil {
+	var err error
+	if s.policy, err = cluster.ParsePlacementPolicy(s.Policy); err != nil {
 		return fmt.Errorf("scenario: cluster.policy: %w", err)
 	}
 	if s.Warmup < 0 {
@@ -658,9 +676,13 @@ func (g *Gateway) validate() error {
 		return fmt.Errorf("scenario: gateway.pq: %g must be below 0.5", g.PQ)
 	}
 	if g.Estimator == "" {
-		g.Estimator = "memoryless"
+		g.Estimator = estimator.ModeMemoryless.String()
 	}
-	if err := validateEstimatorSpec("gateway", g.Estimator, g.Memory); err != nil {
+	var err error
+	if g.mode, err = parseEstimator("gateway", g.Estimator); err != nil {
+		return err
+	}
+	if err = validateMemory("gateway", g.mode, g.Memory); err != nil {
 		return err
 	}
 	if err := finite("gateway.th", g.Th); err != nil {
@@ -684,29 +706,35 @@ func (g *Gateway) validate() error {
 	return nil
 }
 
-// validateEstimatorSpec checks one (estimator, memory) pair; path anchors
-// the error ("gateway" or "arms[i]"). The aggregate estimator accepts
-// memory 0 (a memoryless aggregate mean) because the adaptive controller
-// supplies the time-scale online.
-func validateEstimatorSpec(path, est string, memory float64) error {
-	switch est {
-	case "memoryless", "oracle":
+// parseEstimator resolves an estimator name; path anchors the error
+// ("gateway" or "arms[i]").
+func parseEstimator(path, name string) (estimator.Mode, error) {
+	m, err := estimator.ParseMode(name)
+	if err != nil {
+		return 0, fmt.Errorf("scenario: %s.estimator: unknown estimator %q (want %s)", path, name, estimator.ModeNames())
+	}
+	return m, nil
+}
+
+// validateMemory checks the memory an estimator is configured with; path
+// anchors the error. The aggregate estimator accepts memory 0 (a
+// memoryless aggregate mean) because the adaptive controller supplies
+// the time-scale online.
+func validateMemory(path string, m estimator.Mode, memory float64) error {
+	switch m {
+	case estimator.ModeMemoryless, estimator.ModeOracle:
 		if memory != 0 {
-			return fmt.Errorf("scenario: %s.memory: not valid for the %s estimator", path, est)
+			return fmt.Errorf("scenario: %s.memory: not valid for the %s estimator", path, m)
 		}
-	case "exponential", "window":
-		if err := positive(path+".memory", memory); err != nil {
-			return err
-		}
-	case "aggregate":
+	case estimator.ModeExponential, estimator.ModeWindow:
+		return positive(path+".memory", memory)
+	case estimator.ModeAggregate:
 		if err := finite(path+".memory", memory); err != nil {
 			return err
 		}
 		if memory < 0 {
 			return fmt.Errorf("scenario: %s.memory: %g must be non-negative", path, memory)
 		}
-	default:
-		return fmt.Errorf("scenario: %s.estimator: unknown estimator %q (want memoryless, exponential, window, aggregate or oracle)", path, est)
 	}
 	return nil
 }
@@ -720,6 +748,7 @@ func (c *Config) effectiveGateway(arm Arm) Gateway {
 	g := c.Gateway
 	if arm.Estimator != "" {
 		g.Estimator = arm.Estimator
+		g.mode = arm.mode
 		g.Memory = 0
 	}
 	if arm.Memory != 0 {
@@ -755,10 +784,17 @@ func (a *Arm) validate(path string) error {
 	default:
 		return fmt.Errorf("scenario: %s.policy: unknown policy %q (want certainty-equivalent, perfect-knowledge, peak-rate or measured-sum)", path, a.Policy)
 	}
-	switch a.Degraded {
-	case "", "freeze", "peak-rate", "reject-all":
-	default:
-		return fmt.Errorf("scenario: %s.degraded: unknown degraded policy %q (want freeze, peak-rate or reject-all)", path, a.Degraded)
+	var err error
+	a.degraded = gw.DegradedFreeze
+	if a.Degraded != "" {
+		if a.degraded, err = gw.ParseDegradedPolicy(a.Degraded); err != nil {
+			return fmt.Errorf("scenario: %s.degraded: %w", path, err)
+		}
+	}
+	if a.Estimator != "" {
+		if a.mode, err = parseEstimator(path, a.Estimator); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -832,7 +868,8 @@ func (h *Hypothesis) validate(c *Config) error {
 			return err
 		}
 		if iv.QoSVerdict != "" {
-			if _, err := qos.ParseVerdict(iv.QoSVerdict); err != nil {
+			var err error
+			if iv.wantQoS, err = qos.ParseVerdict(iv.QoSVerdict); err != nil {
 				return fmt.Errorf("scenario: check.interval.qos_verdict: %w", err)
 			}
 		}
@@ -856,7 +893,7 @@ func (h *Hypothesis) validate(c *Config) error {
 			return fmt.Errorf("scenario: check.invariant: at least one check or bound is required")
 		}
 		for i, k := range inv.Checks {
-			if k < InvLifecycle || k > InvMigratedFlows {
+			if !invariantKindNames.Valid(k) {
 				return fmt.Errorf("scenario: check.invariant.checks[%d]: unknown invariant %d", i, int(k))
 			}
 			if k == InvSubstrateIdentity && c.Target != TargetNetwork {
@@ -867,7 +904,7 @@ func (h *Hypothesis) validate(c *Config) error {
 			}
 		}
 		for i, b := range inv.Bounds {
-			if b.Metric < MetricAdmitted || b.Metric > MetricServedP99 {
+			if !metricNames.Valid(b.Metric) {
 				return fmt.Errorf("scenario: check.invariant.bounds[%d].metric: unknown metric %d", i, int(b.Metric))
 			}
 			if err := positive(fmt.Sprintf("check.invariant.bounds[%d].at_most", i), b.AtMost); err != nil {
@@ -892,16 +929,7 @@ func hasArm(arms []Arm, name string) bool {
 	return false
 }
 
-// FaultSchedule converts the config's fault windows to the fault package's
-// form. Validate must have accepted the config first.
-func (c *Config) FaultSchedule() []fault.Window {
-	if len(c.Faults) == 0 {
-		return nil
-	}
-	ws := make([]fault.Window, len(c.Faults))
-	for i, f := range c.Faults {
-		m, _ := fault.ParseMode(f.Mode)
-		ws[i] = fault.Window{Mode: m, From: f.From, To: f.To}
-	}
-	return ws
-}
+// FaultSchedule returns the config's fault windows in the fault
+// package's form, sorted by start. Validate must have accepted the config
+// first.
+func (c *Config) FaultSchedule() []fault.Window { return c.faults }

@@ -280,41 +280,41 @@ func TestShippedScenariosParse(t *testing.T) {
 	}
 }
 
-// TestEnumRoundTrips complements cmd/vetenum: every enum value survives
-// String -> Parse and JSON marshal -> unmarshal.
+// TestEnumRoundTrips: every enum value survives String -> Parse and JSON
+// marshal -> unmarshal.
 func TestEnumRoundTrips(t *testing.T) {
-	for v := Inconclusive; v <= Refuted; v++ {
-		got, err := ParseVerdict(v.String())
+	for v := Inconclusive; v < verdictEnd; v++ {
+		got, err := verdictNames.Parse(v.String())
 		if err != nil || got != v {
 			t.Errorf("Verdict %d: %v %v", v, got, err)
 		}
 	}
-	for k := HypDominance; k <= HypInvariant; k++ {
-		got, err := ParseHypothesisKind(k.String())
+	for k := HypDominance; k < hypothesisKindEnd; k++ {
+		got, err := hypothesisKindNames.Parse(k.String())
 		if err != nil || got != k {
 			t.Errorf("HypothesisKind %d: %v %v", k, got, err)
 		}
 	}
-	for k := InvLifecycle; k <= InvMigratedFlows; k++ {
-		got, err := ParseInvariantKind(k.String())
+	for k := InvLifecycle; k < invariantKindEnd; k++ {
+		got, err := invariantKindNames.Parse(k.String())
 		if err != nil || got != k {
 			t.Errorf("InvariantKind %d: %v %v", k, got, err)
 		}
 	}
-	for m := MetricAdmitted; m <= MetricServedP99; m++ {
-		got, err := ParseMetric(m.String())
+	for m := MetricAdmitted; m < metricEnd; m++ {
+		got, err := metricNames.Parse(m.String())
 		if err != nil || got != m {
 			t.Errorf("Metric %d: %v %v", m, got, err)
 		}
 	}
-	for r := RelGreater; r <= RelLess; r++ {
-		got, err := ParseRelation(r.String())
+	for r := RelGreater; r < relationEnd; r++ {
+		got, err := relationNames.Parse(r.String())
 		if err != nil || got != r {
 			t.Errorf("Relation %d: %v %v", r, got, err)
 		}
 	}
-	for m := IntervalCovers; m <= IntervalAtLeast; m++ {
-		got, err := ParseIntervalMode(m.String())
+	for m := IntervalCovers; m < intervalModeEnd; m++ {
+		got, err := intervalModeNames.Parse(m.String())
 		if err != nil || got != m {
 			t.Errorf("IntervalMode %d: %v %v", m, got, err)
 		}

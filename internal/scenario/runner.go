@@ -166,17 +166,13 @@ func gradeInterval(r *Result) {
 	case "value":
 		r.Reference = iv.Value
 	}
-	var want qos.Verdict
-	if iv.QoSVerdict != "" {
-		want, _ = qos.ParseVerdict(iv.QoSVerdict)
-	}
 	verdict := Confirmed
 	graded := 0
 	ratioSum, ratioN := 0.0, 0
 	for i := range r.Cells {
 		cell := &r.Cells[i]
 		e := cell.Overflow
-		if cell.QoS == qos.VerdictInsufficient && iv.QoSVerdict != "insufficient" {
+		if cell.QoS == qos.VerdictInsufficient && (iv.QoSVerdict == "" || iv.wantQoS != qos.VerdictInsufficient) {
 			if verdict == Confirmed {
 				verdict = Inconclusive
 			}
@@ -195,10 +191,10 @@ func gradeInterval(r *Result) {
 		note := fmt.Sprintf("seed %d/%s: p_f = %.4g [%.4g, %.4g] (n=%d) %s reference %.4g",
 			cell.Seed, cell.Arm, e.P, e.Lo, e.Hi, e.N, iv.Mode, r.Reference)
 		if iv.QoSVerdict != "" {
-			if cell.QoS != want {
+			if cell.QoS != iv.wantQoS {
 				pass = false
 			}
-			note += fmt.Sprintf(", qos %s (want %s)", cell.QoS, want)
+			note += fmt.Sprintf(", qos %s (want %s)", cell.QoS, iv.wantQoS)
 		}
 		graded++
 		if !pass {

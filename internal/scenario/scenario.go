@@ -14,10 +14,7 @@
 // provisioning, robustness of the serving layer under faults).
 package scenario
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "repro/internal/enum"
 
 // Verdict is the outcome of grading one scenario.
 type Verdict int
@@ -30,47 +27,23 @@ const (
 	Confirmed
 	// Refuted: at least one seed contradicted the hypothesis.
 	Refuted
+	verdictEnd
 )
 
-// String implements fmt.Stringer.
-func (v Verdict) String() string {
-	switch v {
-	case Inconclusive:
-		return "Inconclusive"
-	case Confirmed:
-		return "Confirmed"
-	case Refuted:
-		return "Refuted"
-	}
-	return fmt.Sprintf("Verdict(%d)", int(v))
-}
+var verdictNames = enum.New(map[Verdict]string{
+	Inconclusive: "Inconclusive",
+	Confirmed:    "Confirmed",
+	Refuted:      "Refuted",
+}, verdictEnd)
 
-// ParseVerdict is the inverse of Verdict.String.
-func ParseVerdict(s string) (Verdict, error) {
-	for v := Inconclusive; v <= Refuted; v++ {
-		if v.String() == s {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown verdict %q (want Inconclusive, Confirmed or Refuted)", s)
-}
+// String implements fmt.Stringer.
+func (v Verdict) String() string { return verdictNames.String(v) }
 
 // MarshalJSON encodes the verdict as its string form.
-func (v Verdict) MarshalJSON() ([]byte, error) { return json.Marshal(v.String()) }
+func (v Verdict) MarshalJSON() ([]byte, error) { return verdictNames.Marshal(v) }
 
 // UnmarshalJSON decodes the string form.
-func (v *Verdict) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	p, err := ParseVerdict(s)
-	if err != nil {
-		return err
-	}
-	*v = p
-	return nil
-}
+func (v *Verdict) UnmarshalJSON(b []byte) error { return verdictNames.Unmarshal(b, v) }
 
 // HypothesisKind selects the grading rule a scenario's hypothesis uses.
 type HypothesisKind int
@@ -89,46 +62,24 @@ const (
 	// conservation, lease expiries observed, substrate identity) over
 	// every cell of the matrix.
 	HypInvariant
+	hypothesisKindEnd
 )
 
-// String implements fmt.Stringer.
-func (k HypothesisKind) String() string {
-	switch k {
-	case HypDominance:
-		return "dominance"
-	case HypInterval:
-		return "interval"
-	case HypInvariant:
-		return "invariant"
-	}
-	return fmt.Sprintf("HypothesisKind(%d)", int(k))
-}
+var hypothesisKindNames = enum.New(map[HypothesisKind]string{
+	HypDominance: "dominance",
+	HypInterval:  "interval",
+	HypInvariant: "invariant",
+}, hypothesisKindEnd)
 
-// ParseHypothesisKind is the inverse of HypothesisKind.String.
-func ParseHypothesisKind(s string) (HypothesisKind, error) {
-	for k := HypDominance; k <= HypInvariant; k++ {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown hypothesis kind %q (want dominance, interval or invariant)", s)
-}
+// String implements fmt.Stringer.
+func (k HypothesisKind) String() string { return hypothesisKindNames.String(k) }
 
 // MarshalJSON encodes the kind as its string form.
-func (k HypothesisKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
+func (k HypothesisKind) MarshalJSON() ([]byte, error) { return hypothesisKindNames.Marshal(k) }
 
 // UnmarshalJSON decodes the string form.
 func (k *HypothesisKind) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	p, err := ParseHypothesisKind(s)
-	if err != nil {
-		return err
-	}
-	*k = p
-	return nil
+	return hypothesisKindNames.Unmarshal(b, k)
 }
 
 // InvariantKind names one structural predicate an invariant hypothesis
@@ -155,51 +106,25 @@ const (
 	// exercised migration rather than passing vacuously. Only valid with
 	// a cluster topology.
 	InvMigratedFlows
+	invariantKindEnd
 )
 
-// String implements fmt.Stringer.
-func (k InvariantKind) String() string {
-	switch k {
-	case InvLifecycle:
-		return "lifecycle"
-	case InvExpiredFlows:
-		return "expired-flows"
-	case InvRejectedFlows:
-		return "rejected-flows"
-	case InvSubstrateIdentity:
-		return "substrate-identity"
-	case InvMigratedFlows:
-		return "migrated-flows"
-	}
-	return fmt.Sprintf("InvariantKind(%d)", int(k))
-}
+var invariantKindNames = enum.New(map[InvariantKind]string{
+	InvLifecycle:         "lifecycle",
+	InvExpiredFlows:      "expired-flows",
+	InvRejectedFlows:     "rejected-flows",
+	InvSubstrateIdentity: "substrate-identity",
+	InvMigratedFlows:     "migrated-flows",
+}, invariantKindEnd)
 
-// ParseInvariantKind is the inverse of InvariantKind.String.
-func ParseInvariantKind(s string) (InvariantKind, error) {
-	for k := InvLifecycle; k <= InvMigratedFlows; k++ {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown invariant %q (want lifecycle, expired-flows, rejected-flows, substrate-identity or migrated-flows)", s)
-}
+// String implements fmt.Stringer.
+func (k InvariantKind) String() string { return invariantKindNames.String(k) }
 
 // MarshalJSON encodes the kind as its string form.
-func (k InvariantKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
+func (k InvariantKind) MarshalJSON() ([]byte, error) { return invariantKindNames.Marshal(k) }
 
 // UnmarshalJSON decodes the string form.
-func (k *InvariantKind) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	p, err := ParseInvariantKind(s)
-	if err != nil {
-		return err
-	}
-	*k = p
-	return nil
-}
+func (k *InvariantKind) UnmarshalJSON(b []byte) error { return invariantKindNames.Unmarshal(b, k) }
 
 // Metric names one per-cell scalar a dominance hypothesis can compare.
 type Metric int
@@ -224,57 +149,28 @@ const (
 	// MetricServedP99: 99th-percentile served seconds per decision
 	// (network target only; 0 in-process).
 	MetricServedP99
+	metricEnd
 )
 
-// String implements fmt.Stringer.
-func (m Metric) String() string {
-	switch m {
-	case MetricAdmitted:
-		return "admitted"
-	case MetricRejected:
-		return "rejected"
-	case MetricExpired:
-		return "expired"
-	case MetricStormAdmitted:
-		return "storm-admitted"
-	case MetricDegradedTicks:
-		return "degraded-ticks"
-	case MetricUtilization:
-		return "utilization"
-	case MetricServedP50:
-		return "served-p50"
-	case MetricServedP99:
-		return "served-p99"
-	}
-	return fmt.Sprintf("Metric(%d)", int(m))
-}
+var metricNames = enum.New(map[Metric]string{
+	MetricAdmitted:      "admitted",
+	MetricRejected:      "rejected",
+	MetricExpired:       "expired",
+	MetricStormAdmitted: "storm-admitted",
+	MetricDegradedTicks: "degraded-ticks",
+	MetricUtilization:   "utilization",
+	MetricServedP50:     "served-p50",
+	MetricServedP99:     "served-p99",
+}, metricEnd)
 
-// ParseMetric is the inverse of Metric.String.
-func ParseMetric(s string) (Metric, error) {
-	for m := MetricAdmitted; m <= MetricServedP99; m++ {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown metric %q", s)
-}
+// String implements fmt.Stringer.
+func (m Metric) String() string { return metricNames.String(m) }
 
 // MarshalJSON encodes the metric as its string form.
-func (m Metric) MarshalJSON() ([]byte, error) { return json.Marshal(m.String()) }
+func (m Metric) MarshalJSON() ([]byte, error) { return metricNames.Marshal(m) }
 
 // UnmarshalJSON decodes the string form.
-func (m *Metric) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	p, err := ParseMetric(s)
-	if err != nil {
-		return err
-	}
-	*m = p
-	return nil
-}
+func (m *Metric) UnmarshalJSON(b []byte) error { return metricNames.Unmarshal(b, m) }
 
 // Relation is the direction of a dominance comparison.
 type Relation int
@@ -284,45 +180,22 @@ const (
 	RelGreater Relation = iota
 	// RelLess: arm A's metric must be strictly below arm B's.
 	RelLess
+	relationEnd
 )
 
-// String implements fmt.Stringer.
-func (r Relation) String() string {
-	switch r {
-	case RelGreater:
-		return "greater"
-	case RelLess:
-		return "less"
-	}
-	return fmt.Sprintf("Relation(%d)", int(r))
-}
+var relationNames = enum.New(map[Relation]string{
+	RelGreater: "greater",
+	RelLess:    "less",
+}, relationEnd)
 
-// ParseRelation is the inverse of Relation.String.
-func ParseRelation(s string) (Relation, error) {
-	for r := RelGreater; r <= RelLess; r++ {
-		if r.String() == s {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown relation %q (want greater or less)", s)
-}
+// String implements fmt.Stringer.
+func (r Relation) String() string { return relationNames.String(r) }
 
 // MarshalJSON encodes the relation as its string form.
-func (r Relation) MarshalJSON() ([]byte, error) { return json.Marshal(r.String()) }
+func (r Relation) MarshalJSON() ([]byte, error) { return relationNames.Marshal(r) }
 
 // UnmarshalJSON decodes the string form.
-func (r *Relation) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	p, err := ParseRelation(s)
-	if err != nil {
-		return err
-	}
-	*r = p
-	return nil
-}
+func (r *Relation) UnmarshalJSON(b []byte) error { return relationNames.Unmarshal(b, r) }
 
 // IntervalMode selects how an interval hypothesis grades the Wilson
 // interval against its reference level.
@@ -338,44 +211,20 @@ const (
 	// IntervalAtLeast: the interval's upper bound must not fall below the
 	// reference (the measurement is not significantly below it).
 	IntervalAtLeast
+	intervalModeEnd
 )
 
-// String implements fmt.Stringer.
-func (m IntervalMode) String() string {
-	switch m {
-	case IntervalCovers:
-		return "covers"
-	case IntervalAtMost:
-		return "at-most"
-	case IntervalAtLeast:
-		return "at-least"
-	}
-	return fmt.Sprintf("IntervalMode(%d)", int(m))
-}
+var intervalModeNames = enum.New(map[IntervalMode]string{
+	IntervalCovers:  "covers",
+	IntervalAtMost:  "at-most",
+	IntervalAtLeast: "at-least",
+}, intervalModeEnd)
 
-// ParseIntervalMode is the inverse of IntervalMode.String.
-func ParseIntervalMode(s string) (IntervalMode, error) {
-	for m := IntervalCovers; m <= IntervalAtLeast; m++ {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown interval mode %q (want covers, at-most or at-least)", s)
-}
+// String implements fmt.Stringer.
+func (m IntervalMode) String() string { return intervalModeNames.String(m) }
 
 // MarshalJSON encodes the mode as its string form.
-func (m IntervalMode) MarshalJSON() ([]byte, error) { return json.Marshal(m.String()) }
+func (m IntervalMode) MarshalJSON() ([]byte, error) { return intervalModeNames.Marshal(m) }
 
 // UnmarshalJSON decodes the string form.
-func (m *IntervalMode) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	p, err := ParseIntervalMode(s)
-	if err != nil {
-		return err
-	}
-	*m = p
-	return nil
-}
+func (m *IntervalMode) UnmarshalJSON(b []byte) error { return intervalModeNames.Unmarshal(b, m) }

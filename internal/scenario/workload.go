@@ -145,25 +145,11 @@ func buildController(arm Arm, g Gateway, ts traffic.Stats) (core.Controller, err
 	return nil, fmt.Errorf("scenario: arm %q: unknown policy %q", arm.Name, arm.Policy)
 }
 
-// buildEstimator instantiates the effective measurement spec. tick sizes
-// the aggregate estimator's variance memory when no T_m is given (eight
-// measurement periods, matching cmd/gateway's default).
+// buildEstimator instantiates the effective measurement spec against the
+// workload's declared statistics; tick sizes the aggregate estimator's
+// variance memory when no T_m is given.
 func buildEstimator(g Gateway, ts traffic.Stats, tick float64) estimator.Estimator {
-	switch g.Estimator {
-	case "exponential":
-		return estimator.NewExponential(g.Memory)
-	case "window":
-		return estimator.NewWindow(g.Memory)
-	case "aggregate":
-		tv := g.Memory
-		if tv <= 0 {
-			tv = 8 * tick
-		}
-		return estimator.NewAggregateOnly(g.Memory, tv)
-	case "oracle":
-		return &estimator.Oracle{Mu: ts.Mean, Sigma: ts.StdDev()}
-	}
-	return estimator.NewMemoryless()
+	return estimator.New(g.mode, g.Memory, tick, ts.Mean, ts.StdDev())
 }
 
 // buildTuner instantiates the online time-scale controller for one arm's
@@ -208,14 +194,6 @@ func gradeAfter(cfg *Config) float64 {
 // the returned controller is attached as the gateway's Tuner; callers
 // snapshot it into the cell after the replay.
 func newCellGateway(cfg *Config, arm Arm, ctrl core.Controller, est estimator.Estimator, overflowWindow int) (*gw.Gateway, *adaptive.Controller, error) {
-	dp := gw.DegradedFreeze
-	if arm.Degraded != "" {
-		var err error
-		dp, err = gw.ParseDegradedPolicy(arm.Degraded)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
 	tuner, err := buildTuner(cfg, cfg.effectiveGateway(arm))
 	if err != nil {
 		return nil, nil, err
@@ -231,7 +209,7 @@ func newCellGateway(cfg *Config, arm Arm, ctrl core.Controller, est estimator.Es
 		OverflowWindow: overflowWindow,
 		FlowTTL:        cfg.Gateway.FlowTTL,
 		StaleAfter:     cfg.Gateway.StaleAfter,
-		Degraded:       dp,
+		Degraded:       arm.degraded,
 	}
 	if tuner != nil {
 		// Assign only a live controller: a typed-nil in the interface field

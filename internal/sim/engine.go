@@ -86,31 +86,20 @@ type Config struct {
 	// TargetP is the QoS target used by the stopping rule's
 	// "two-orders-below" branch; 0 disables that branch.
 	TargetP float64
-	// RelCI is the relative confidence-interval stopping threshold
-	// (default 0.2, the paper's ±20%).
-	RelCI float64
 	// CheckEvery is the spacing of stopping-rule checks (default
 	// MaxTime/64).
 	CheckEvery float64
 
-	// BatchLen overrides the batch length for the time-weighted CI
-	// (default 2·max(T~h, T_m, T_c)).
-	BatchLen float64
-	// SamplePeriod overrides the paper's point-sample spacing (default
-	// 2·max(T~h, T_m, T_c)).
-	SamplePeriod float64
-	// Tm and Tc inform the default spacing above (the engine cannot see
-	// inside the estimator or the model); set them to the values used to
-	// build the estimator/model, or leave 0.
+	// Tm and Tc inform the spacing of the paper's point samples and of
+	// the time-weighted CI's batches, 2·max(T~h, T_m, T_c, the model's
+	// correlation time) (the engine cannot see inside the estimator or the
+	// model); set them to the values used to build the estimator/model,
+	// or leave 0.
 	Tm, Tc float64
 
 	// MaxEvents caps the total number of processed events as a safety
 	// valve (default 2e9).
 	MaxEvents int64
-	// MaxAdmitPerInstant caps how many flows can be admitted at a single
-	// event time (default 4·capacity/meanRate + 64), guarding against a
-	// degenerate estimator reporting a near-zero mean.
-	MaxAdmitPerInstant int
 
 	// TrackAdmissible, if set, records the time average and variance of
 	// the controller's admissible count M_t (Figure 2's upper process).
@@ -123,10 +112,11 @@ type Config struct {
 	// number of points (default 1<<20).
 	SeriesPeriod float64
 	SeriesLimit  int
-
-	// HistogramBins, if positive, enables a sampled load histogram.
-	HistogramBins int
 }
+
+// relCI is the stopping rule's relative confidence-interval threshold,
+// the paper's ±20%.
+const relCI = 0.2
 
 // Result reports everything a run measured.
 type Result struct {
@@ -266,6 +256,9 @@ type Engine struct {
 	clock float64
 	seq   uint64
 
+	perInstant int     // admissions allowed at one event time
+	spacing    float64 // point-sample spacing and CI batch length
+
 	ar      *engineArena
 	renew   traffic.Renewer // cfg.Model's optional source recycling (may be nil)
 	nActive int
@@ -308,9 +301,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Warmup < 0 {
 		return nil, fmt.Errorf("sim: Warmup %g must be non-negative", cfg.Warmup)
 	}
-	if cfg.RelCI == 0 {
-		cfg.RelCI = 0.2
-	}
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = cfg.MaxTime / 64
 	}
@@ -318,14 +308,13 @@ func New(cfg Config) (*Engine, error) {
 		cfg.MaxEvents = 2e9
 	}
 	st := cfg.Model.Stats()
-	if cfg.MaxAdmitPerInstant <= 0 {
-		perInstant := 64
-		if st.Mean > 0 {
-			perInstant += int(4 * cfg.Capacity / st.Mean)
-		}
-		cfg.MaxAdmitPerInstant = perInstant
+	// The per-instant admission cap guards against a degenerate estimator
+	// reporting a near-zero mean.
+	perInstant := 64
+	if st.Mean > 0 {
+		perInstant += int(4 * cfg.Capacity / st.Mean)
 	}
-	// Default sampling/batching: the paper's 2·max(T~h, T_m, T_c) spacing.
+	// Sampling/batching: the paper's 2·max(T~h, T_m, T_c) spacing.
 	n := cfg.Capacity / math.Max(st.Mean, 1e-12)
 	thTilde := 0.0
 	if cfg.HoldingTime > 0 {
@@ -335,22 +324,17 @@ func New(cfg Config) (*Engine, error) {
 	if spacing <= 0 {
 		spacing = 1
 	}
-	if cfg.BatchLen <= 0 {
-		cfg.BatchLen = spacing
-	}
-	if cfg.SamplePeriod <= 0 {
-		cfg.SamplePeriod = spacing
-	}
 
 	e := &Engine{
-		cfg: cfg,
-		rng: rng.New(cfg.Seed, 0x6d62_6163), // stream tag "mbac"
+		cfg:        cfg,
+		rng:        rng.New(cfg.Seed, 0x6d62_6163), // stream tag "mbac"
+		perInstant: perInstant,
+		spacing:    spacing,
 		lnk: link.New(link.Config{
-			Capacity:      cfg.Capacity,
-			BatchLen:      cfg.BatchLen,
-			SamplePeriod:  cfg.SamplePeriod,
-			HistogramBins: cfg.HistogramBins,
-			Utility:       cfg.Utility,
+			Capacity:     cfg.Capacity,
+			BatchLen:     spacing,
+			SamplePeriod: spacing,
+			Utility:      cfg.Utility,
 		}),
 	}
 	if cfg.BufferSize > 0 {
@@ -483,7 +467,7 @@ func (e *Engine) Run() (Result, error) {
 	}
 
 	rep := e.lnk.Report()
-	pf, ok := rep.BestOverflowEstimate(cfg.TargetP, cfg.RelCI)
+	pf, ok := rep.BestOverflowEstimate(cfg.TargetP, relCI)
 	res := Result{
 		Report:        rep,
 		Pf:            pf,
@@ -602,7 +586,7 @@ func (e *Engine) currentAdmissible() float64 {
 // every admission (controllers read it between admissions), the link once
 // per instant via the deferred-load run.
 func (e *Engine) tryAdmissions() {
-	for i := 0; i < e.cfg.MaxAdmitPerInstant; i++ {
+	for i := 0; i < e.perInstant; i++ {
 		m := e.currentAdmissible()
 		if float64(e.nActive)+1 > m {
 			return
@@ -763,9 +747,9 @@ func (e *Engine) maybeRenormalize() {
 // checkStop applies the paper's stopping rule to the current statistics.
 func (e *Engine) checkStop() bool {
 	rep := e.lnk.Report()
-	_, ok := rep.BestOverflowEstimate(e.cfg.TargetP, e.cfg.RelCI)
+	_, ok := rep.BestOverflowEstimate(e.cfg.TargetP, relCI)
 	// Require a minimum of measurement time so an early zero-overflow
 	// window does not trigger the extrapolation branch prematurely.
-	minTime := math.Min(e.cfg.MaxTime/4, 100*e.cfg.SamplePeriod)
+	minTime := math.Min(e.cfg.MaxTime/4, 100*e.spacing)
 	return ok && (e.clock-e.measureStart) >= minTime
 }

@@ -3,6 +3,7 @@ package theory
 import (
 	"math"
 
+	"repro/internal/enum"
 	"repro/internal/gauss"
 )
 
@@ -25,21 +26,18 @@ const (
 	// RegimeIntermediate: neither separation holds; only the numerical
 	// integral (eq. 37) applies.
 	RegimeIntermediate
+	regimeEnd
 )
 
-// String implements fmt.Stringer.
-func (r Regime) String() string {
-	switch r {
-	case RegimeMasking:
-		return "masking"
-	case RegimeRepair:
-		return "repair"
-	case RegimeIntermediate:
-		return "intermediate"
-	default:
-		return "intermediate"
-	}
-}
+var regimeNames = enum.New(map[Regime]string{
+	RegimeMasking:      "masking",
+	RegimeRepair:       "repair",
+	RegimeIntermediate: "intermediate",
+}, regimeEnd)
+
+// String implements fmt.Stringer; a value outside the three regimes
+// renders as "Regime(n)", never as a valid label.
+func (r Regime) String() string { return regimeNames.String(r) }
 
 // regimeSeparation is the ratio of time-scales considered a clear
 // separation for regime classification.

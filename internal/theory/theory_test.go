@@ -481,9 +481,21 @@ func TestRegimeClassification(t *testing.T) {
 	if r := ClassifyRegime(s); r != RegimeIntermediate {
 		t.Errorf("Tc=100: %v", r)
 	}
-	for _, r := range []Regime{RegimeMasking, RegimeRepair, RegimeIntermediate} {
-		if r.String() == "" {
-			t.Error("empty regime string")
+}
+
+// TestRegimeStrings pins the Section 5.3 labels /adaptive and reports
+// print, and that a value outside the three regimes renders as itself
+// rather than passing for "intermediate".
+func TestRegimeStrings(t *testing.T) {
+	for r, want := range map[Regime]string{
+		RegimeMasking:      "masking",
+		RegimeRepair:       "repair",
+		RegimeIntermediate: "intermediate",
+		Regime(3):          "Regime(3)",
+		Regime(-1):         "Regime(-1)",
+	} {
+		if got := r.String(); got != want {
+			t.Errorf("Regime(%d).String() = %q, want %q", int(r), got, want)
 		}
 	}
 }

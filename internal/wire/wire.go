@@ -54,6 +54,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"repro/internal/enum"
 )
 
 // Version is the protocol version byte carried by every frame.
@@ -103,46 +105,25 @@ const (
 	// OpRefusal tells the peer a request (reqID ≠ 0) or the whole
 	// connection (reqID 0) was refused, with a Refusal reason.
 	OpRefusal
+	opEnd
 )
 
-// String implements fmt.Stringer.
-func (o Op) String() string {
-	switch o {
-	case OpAdmit:
-		return "admit"
-	case OpAdmitBatch:
-		return "admit-batch"
-	case OpUpdateRate:
-		return "update-rate"
-	case OpTouch:
-		return "touch"
-	case OpDepart:
-		return "depart"
-	case OpPing:
-		return "ping"
-	case OpDecision:
-		return "decision"
-	case OpDecisionBatch:
-		return "decision-batch"
-	case OpAck:
-		return "ack"
-	case OpPong:
-		return "pong"
-	case OpRefusal:
-		return "refusal"
-	}
-	return fmt.Sprintf("Op(%d)", int(o))
-}
+var opNames = enum.New(map[Op]string{
+	OpAdmit:         "admit",
+	OpAdmitBatch:    "admit-batch",
+	OpUpdateRate:    "update-rate",
+	OpTouch:         "touch",
+	OpDepart:        "depart",
+	OpPing:          "ping",
+	OpDecision:      "decision",
+	OpDecisionBatch: "decision-batch",
+	OpAck:           "ack",
+	OpPong:          "pong",
+	OpRefusal:       "refusal",
+}, opEnd)
 
-// ParseOp is the inverse of Op.String, for CLI and test tooling.
-func ParseOp(s string) (Op, error) {
-	for o := OpAdmit; o <= OpRefusal; o++ {
-		if o.String() == s {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("wire: unknown op %q", s)
-}
+// String implements fmt.Stringer.
+func (o Op) String() string { return opNames.String(o) }
 
 // Status classifies the outcome of an acknowledged request (UpdateRate,
 // Touch, Depart).
@@ -156,30 +137,17 @@ const (
 	StatusNotActive
 	// StatusInvalidRate: the rate was negative, NaN or infinite.
 	StatusInvalidRate
+	statusEnd
 )
 
-// String implements fmt.Stringer.
-func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "ok"
-	case StatusNotActive:
-		return "not-active"
-	case StatusInvalidRate:
-		return "invalid-rate"
-	}
-	return fmt.Sprintf("Status(%d)", int(s))
-}
+var statusNames = enum.New(map[Status]string{
+	StatusOK:          "ok",
+	StatusNotActive:   "not-active",
+	StatusInvalidRate: "invalid-rate",
+}, statusEnd)
 
-// ParseStatus is the inverse of Status.String.
-func ParseStatus(s string) (Status, error) {
-	for st := StatusOK; st <= StatusInvalidRate; st++ {
-		if st.String() == s {
-			return st, nil
-		}
-	}
-	return 0, fmt.Errorf("wire: unknown status %q", s)
-}
+// String implements fmt.Stringer.
+func (s Status) String() string { return statusNames.String(s) }
 
 // Refusal classifies why the server refused a request or connection —
 // the serving-layer analogue of the gateway's capacity Reason, except
@@ -201,34 +169,19 @@ const (
 	RefuseSlowClient
 	// RefuseProtocol: the peer sent a malformed or oversized frame.
 	RefuseProtocol
+	refusalEnd
 )
 
-// String implements fmt.Stringer.
-func (r Refusal) String() string {
-	switch r {
-	case RefuseOverloaded:
-		return "overloaded"
-	case RefuseDraining:
-		return "draining"
-	case RefuseRateLimited:
-		return "rate-limited"
-	case RefuseSlowClient:
-		return "slow-client"
-	case RefuseProtocol:
-		return "protocol"
-	}
-	return fmt.Sprintf("Refusal(%d)", int(r))
-}
+var refusalNames = enum.New(map[Refusal]string{
+	RefuseOverloaded:  "overloaded",
+	RefuseDraining:    "draining",
+	RefuseRateLimited: "rate-limited",
+	RefuseSlowClient:  "slow-client",
+	RefuseProtocol:    "protocol",
+}, refusalEnd)
 
-// ParseRefusal is the inverse of Refusal.String.
-func ParseRefusal(s string) (Refusal, error) {
-	for r := RefuseOverloaded; r <= RefuseProtocol; r++ {
-		if r.String() == s {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("wire: unknown refusal %q", s)
-}
+// String implements fmt.Stringer.
+func (r Refusal) String() string { return refusalNames.String(r) }
 
 // Decision is the wire form of one admission decision. Reason is the
 // numeric value of gateway.Reason; Admissible and Active mirror the
@@ -425,7 +378,7 @@ func (f *Frame) Decode(p []byte) error {
 			return fmt.Errorf("wire: %v payload is %d bytes, want 1", f.Op, len(body))
 		}
 		f.Status = Status(body[0])
-		if f.Status > StatusInvalidRate {
+		if f.Status >= statusEnd {
 			return fmt.Errorf("wire: unknown status %d", body[0])
 		}
 	case OpRefusal:
@@ -433,7 +386,7 @@ func (f *Frame) Decode(p []byte) error {
 			return fmt.Errorf("wire: %v payload is %d bytes, want 1", f.Op, len(body))
 		}
 		f.Refusal = Refusal(body[0])
-		if f.Refusal < RefuseOverloaded || f.Refusal > RefuseProtocol {
+		if !refusalNames.Valid(f.Refusal) {
 			return fmt.Errorf("wire: unknown refusal %d", body[0])
 		}
 	default:
@@ -752,7 +705,7 @@ func (r *Reader) NextAckBurst(b *AckBurst, max int) int {
 	n := 0
 	for n < max && len(p) >= ackFrameLen {
 		if binary.BigEndian.Uint32(p) != headerLen+1 || p[4] != Version || p[5] != byte(OpAck) ||
-			p[14] > byte(StatusInvalidRate) {
+			p[14] >= byte(statusEnd) {
 			break
 		}
 		b.ReqIDs = append(b.ReqIDs, binary.BigEndian.Uint64(p[6:]))

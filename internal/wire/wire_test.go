@@ -237,25 +237,25 @@ func TestEncodeDecodeAllocationFree(t *testing.T) {
 }
 
 func TestEnumStringParseRoundTrips(t *testing.T) {
-	for o := OpAdmit; o <= OpRefusal; o++ {
-		got, err := ParseOp(o.String())
+	for o := OpAdmit; o < opEnd; o++ {
+		got, err := opNames.Parse(o.String())
 		if err != nil || got != o {
-			t.Errorf("ParseOp(%q) = %v, %v", o.String(), got, err)
+			t.Errorf("opNames.Parse(%q) = %v, %v", o.String(), got, err)
 		}
 	}
-	for s := StatusOK; s <= StatusInvalidRate; s++ {
-		got, err := ParseStatus(s.String())
+	for s := StatusOK; s < statusEnd; s++ {
+		got, err := statusNames.Parse(s.String())
 		if err != nil || got != s {
-			t.Errorf("ParseStatus(%q) = %v, %v", s.String(), got, err)
+			t.Errorf("statusNames.Parse(%q) = %v, %v", s.String(), got, err)
 		}
 	}
-	for r := RefuseOverloaded; r <= RefuseProtocol; r++ {
-		got, err := ParseRefusal(r.String())
+	for r := RefuseOverloaded; r < refusalEnd; r++ {
+		got, err := refusalNames.Parse(r.String())
 		if err != nil || got != r {
-			t.Errorf("ParseRefusal(%q) = %v, %v", r.String(), got, err)
+			t.Errorf("refusalNames.Parse(%q) = %v, %v", r.String(), got, err)
 		}
 	}
-	if _, err := ParseOp("nope"); err == nil {
-		t.Error("ParseOp accepted garbage")
+	if _, err := opNames.Parse("nope"); err == nil {
+		t.Error("opNames.Parse accepted garbage")
 	}
 }
